@@ -1,10 +1,12 @@
 """Extremal quantities and ratio experiments over ordinary reduced polygons.
 
-Enclosing and inscribed disks are found by direct descent in the Klein chart
-(the objectives are geodesically convex resp. concave), and the grid scan
-records diameter/thickness ratios together with perimeter, area and the two
-radii.  Expected-but-unproved ratio bounds are logged as findings, never
-raised: the scan is evidence gathering, not a proof checker.
+Both extremal disks are exact combinatorial constructions in the hyperboloid
+model.  The smallest enclosing disk comes from Welzl's incremental algorithm
+over the vertices, the largest inscribed disk from an enumeration of the
+vertices of the polygon's medial axis.  The grid scan records
+diameter/thickness ratios together with perimeter, area and the two radii.
+Expected-but-unproved ratio bounds are logged as findings, never raised: the
+scan is evidence gathering, not a proof checker.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import perturbed_polygon
 from .errors import NumericalError
-from .hcore import HPoint, chart_to_hyperboloid, unit_timelike
-from .polygon import ConvexPolygon, area, make_polygon, perimeter
+from .hcore import HPoint, unit_timelike
+from .polygon import _MINK_DIAG, ConvexPolygon, area, make_polygon, perimeter
 from .reduced import regular_ngon_with_thickness, solve_ordinary_reduced
 from .width import diameter, thickness
 
@@ -27,256 +29,82 @@ log = logging.getLogger(__name__)
 
 DISK_TOL = 1e-9
 
-_MINK_DIAG = np.array([1.0, 1.0, -1.0])
-
-# Compass directions for the refinement phase of the disk searches.
-_COMPASS = np.array([
-    [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
-    [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0],
-]) / np.array([1.0, 1.0, 1.0, 1.0, math.sqrt(2), math.sqrt(2), math.sqrt(2), math.sqrt(2)])[:, None]
-
-
-def _klein_to_vec(k: np.ndarray) -> np.ndarray:
-    d = math.sqrt(1.0 - k[0] * k[0] - k[1] * k[1])
-    return np.array([k[0] / d, k[1] / d, 1.0 / d])
-
-
-def _descend(f: Callable[[np.ndarray], float],
-             subgradient_target: Callable[[np.ndarray], np.ndarray],
-             x0: np.ndarray, step0: float) -> tuple[np.ndarray, float]:
-    """Minimize f over the open Klein disk by diminishing-step descent.
-
-    Each scale first tries the move toward the subgradient target (for the
-    minimax objectives: toward the farthest vertex, or away from the nearest
-    side), then the eight compass directions; the step halves whenever no
-    candidate improves.  Runs until the step underflows the coordinate noise
-    floor.
-    """
-    x = x0.copy()
-    fx = f(x)
-    step = step0
-    budget = 200_000  # safety cap; descent normally ends far earlier
-    while step > 1e-14 and budget > 0:
-        budget -= 1
-        improved = False
-        target = subgradient_target(x)
-        norm = np.hypot(*(target - x)) if target is not None else 0.0
-        candidates = []
-        if norm > 1e-15:
-            candidates.append((target - x) / norm)
-        candidates.extend(_COMPASS)
-        for d in candidates:
-            xt = x + step * d
-            if xt[0] * xt[0] + xt[1] * xt[1] >= 1.0 - 1e-12:
-                continue
-            ft = f(xt)
-            if ft < fx:
-                x, fx = xt, ft
-                improved = True
-                break
-        if not improved:
-            step *= 0.5
-    return x, fx
-
-
-def _klein_of_vec(c: np.ndarray) -> np.ndarray:
-    return c[:2] / c[2]
-
-
-_ACTIVE_LADDER = (1e-12, 1e-9, 1e-6, 1e-3, 1e-1)
-
-
-def _polish_minimax(f: Callable[[np.ndarray], float],
-                    values_at: Callable[[np.ndarray], np.ndarray],
-                    candidates_for: Callable[[list[int]], list[np.ndarray]],
-                    x: np.ndarray, fx: float) -> tuple[np.ndarray, float]:
-    """Equalization polish for a stalled minimax descent.
-
-    Descent with fixed directions can wedge inside the narrow cone between
-    two nearly tied constraints; equalizing over the (small) active set jumps
-    straight to the balanced point.  A candidate is accepted only when it
-    strictly improves f, so this never degrades the descent result.
-    """
-    while True:
-        vals = values_at(x)
-        top = float(np.max(vals))
-        order = [int(i) for i in np.argsort(-vals)]
-        improved = False
-        for eps in _ACTIVE_LADDER:
-            active = [i for i in order if vals[i] >= top - eps][:8]
-            if len(active) < 2:
-                continue
-            for cand in candidates_for(active):
-                if cand is None:
-                    continue
-                k = _klein_of_vec(cand)
-                if k[0] * k[0] + k[1] * k[1] >= 1.0 - 1e-12:
-                    continue
-                fc = f(k)
-                if fc < fx:
-                    x, fx = k, fc
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            return x, fx
-
 
 def circumdisk(V: ConvexPolygon) -> tuple[HPoint, float]:
     """Smallest disk containing all vertices of V.
 
-    Minimizes the farthest-vertex distance, a geodesically convex function,
-    by diminishing-step descent from the Klein chart centroid, alternating
-    with an active-set equalization polish (midpoint of a tied pair, or the
-    equidistant point of a tied triple).  Every vertex ends up within
-    radius + DISK_TOL of the returned center.
+    With w = c / cosh(R), the disk of center c and radius R contains vertex v
+    exactly when -B(w, v) <= 1, and the smallest disk is the w of largest
+    Lorentz norm.  This is an LP-type problem, so Welzl's incremental
+    algorithm solves it exactly: vertices are added in index order, and a
+    vertex outside the current disk (by more than DISK_TOL) lies on the
+    boundary of the next one, which is rebuilt from at most three boundary
+    vertices (a single point, the midpoint of a pair, or the equidistant
+    point of a triple).  The returned radius is the largest vertex distance
+    from the returned center.
     """
     g = V.mink_rows
     m = V.vertex_matrix
 
-    def radius_at(x: np.ndarray) -> float:
-        c = _klein_to_vec(x)
-        return math.acosh(max(float(np.max(-(g @ c))), 1.0))
+    def first_outside(w: np.ndarray, start: int, stop: int) -> int | None:
+        hits = np.flatnonzero(g[start:stop] @ w < -1.0 - DISK_TOL)
+        return start + int(hits[0]) if hits.size else None
 
-    def distances(x: np.ndarray) -> np.ndarray:
-        c = _klein_to_vec(x)
-        return np.arccosh(np.maximum(-(g @ c), 1.0))
-
-    def toward_farthest(x: np.ndarray) -> np.ndarray:
-        c = _klein_to_vec(x)
-        return V.klein[int(np.argmax(-(g @ c)))]
-
-    def candidates(active: list[int]) -> list[np.ndarray]:
-        cands: list[np.ndarray] = []
-        for a in range(len(active)):
-            for b in range(a + 1, len(active)):
-                i, j = active[a], active[b]
-                cands.append(unit_timelike(m[i] + m[j]).vec)
-                for cidx in range(b + 1, len(active)):
-                    k = active[cidx]
-                    try:
-                        w = np.linalg.solve(g[[i, j, k]], -np.ones(3))
-                    except np.linalg.LinAlgError:
-                        continue
-                    if w[2] ** 2 - w[0] ** 2 - w[1] ** 2 <= 0.0:
-                        continue
-                    cands.append(unit_timelike(w).vec)
-        return cands
-
-    x0 = V.klein.mean(axis=0)
-    spread = float(np.max(np.linalg.norm(V.klein - x0, axis=1)))
-    x, r = _descend(radius_at, toward_farthest, x0, max(spread, 1e-3))
-    for _ in range(4):
-        x2, r2 = _polish_minimax(radius_at, distances, candidates, x, r)
-        x2, r2 = _descend(radius_at, toward_farthest, x2, 1e-3)
-        if r2 >= r - 1e-15:
-            x, r = x2, r2
-            break
-        x, r = x2, r2
-    return chart_to_hyperboloid(x[0], x[1], "klein"), r
+    w = m[0]
+    i = first_outside(w, 1, V.n)
+    while i is not None:
+        w = m[i]
+        j = first_outside(w, 0, i)
+        while j is not None:
+            w = (m[i] + m[j]) / (1.0 - g[i] @ m[j])
+            k = first_outside(w, 0, j)
+            while k is not None:
+                w = np.linalg.solve(g[[i, j, k]], -np.ones(3))
+                k = first_outside(w, k + 1, j)
+            j = first_outside(w, j + 1, i)
+        i = first_outside(w, i + 1, V.n)
+    c = unit_timelike(w)
+    return c, math.acosh(max(float(np.max(-(g @ c.vec))), 1.0))
 
 
 def indisk(V: ConvexPolygon) -> tuple[HPoint, float]:
     """Largest disk inscribed in V.
 
-    Maximizes the smallest distance to the side lines, concave over the
-    interior, by diminishing-step ascent from the chart centroid plus the
-    same equalization polish (tied side pairs are balanced along their
-    bisector geodesic, tied triples by an exact equidistance solve).
+    With w = c / sinh(r), the disk of center c and radius r lies in V exactly
+    when B(w, u_j) >= 1 for every side normal u_j, and the largest disk is
+    the point of this polyhedron of smallest Lorentz norm.  That norm is
+    concave, so its minimum lies at a vertex of the polyhedron: a point
+    equidistant from three sides, i.e. a vertex of the medial axis.  (The
+    clearance itself can have several local maxima, e.g. between two
+    ultraparallel sides, so no local search is used.)  Each pair of sides
+    spans an edge line {B(w, u_i) = B(w, u_j) = 1}; clipping all of them by
+    the other n - 2 half-spaces in one vectorised pass leaves segments whose
+    finite ends include every vertex.  The answer is the end of largest
+    clearance: no point has a larger clearance than the inradius, so the
+    choice needs no feasibility test.  O(n^3) time and memory.
     """
-    normals = V.side_normals
-
-    def neg_clearance(x: np.ndarray) -> float:
-        c = _klein_to_vec(x) * _MINK_DIAG
-        return -math.asinh(float(np.min(normals @ c)))
-
-    def neg_side_distances(x: np.ndarray) -> np.ndarray:
-        c = _klein_to_vec(x) * _MINK_DIAG
-        return -np.arcsinh(normals @ c)
-
-    def away_from_nearest(x: np.ndarray) -> np.ndarray:
-        c = _klein_to_vec(x)
-        j = int(np.argmin(normals @ (c * _MINK_DIAG)))
-        u = normals[j]
-        s = u[0] * c[0] + u[1] * c[1] - u[2] * c[2]
-        fvec = c - s * u
-        fk = fvec[:2] / fvec[2]
-        return x + (x - fk)
-
-    def candidates(active: list[int]) -> list[np.ndarray]:
-        cands: list[np.ndarray] = []
-        for a in range(len(active)):
-            for b in range(a + 1, len(active)):
-                i, j = active[a], active[b]
-                cands.append(_bisector_optimum(normals, i, j, neg_clearance))
-                for cidx in range(b + 1, len(active)):
-                    k = active[cidx]
-                    try:
-                        w = np.linalg.solve(normals[[i, j, k]] * _MINK_DIAG,
-                                            np.ones(3))
-                    except np.linalg.LinAlgError:
-                        continue
-                    if w[2] ** 2 - w[0] ** 2 - w[1] ** 2 <= 0.0:
-                        continue
-                    cands.append(unit_timelike(w).vec)
-        return cands
-
-    x0 = V.klein.mean(axis=0)
-    x, negr = _descend(neg_clearance, away_from_nearest, x0, 0.25)
-    for _ in range(4):
-        x2, negr2 = _polish_minimax(neg_clearance, neg_side_distances, candidates,
-                                    x, negr)
-        x2, negr2 = _descend(neg_clearance, away_from_nearest, x2, 1e-3)
-        if negr2 >= negr - 1e-15:
-            x, negr = x2, negr2
-            break
-        x, negr = x2, negr2
-    return chart_to_hyperboloid(x[0], x[1], "klein"), -negr
-
-
-def _bisector_optimum(normals: np.ndarray, i: int, j: int,
-                      neg_clearance: Callable[[np.ndarray], float]) -> np.ndarray | None:
-    """Best point on the bisector geodesic of two side lines.
-
-    Points equidistant (with sign) from lines i and j satisfy
-    B(c, u_i - u_j) = 0, a geodesic; the clearance is maximized along it by
-    sampling plus golden-section refinement.
-    """
-    w = normals[i] - normals[j]
-    nrm = w[0] * w[0] + w[1] * w[1] - w[2] * w[2]
-    if nrm <= 1e-14:
-        return None
-    w = w / math.sqrt(nrm)
-    wmink = w * _MINK_DIAG
-    origin = np.array([0.0, 0.0, 1.0])
-    s = float(origin @ wmink)
-    p0v = origin - s * w
-    p0 = unit_timelike(p0v).vec
-    d = np.cross(w, p0)
-    d[2] = -d[2]
-    dn = d[0] * d[0] + d[1] * d[1] - d[2] * d[2]
-    if dn <= 0.0:
-        return None
-    d = d / math.sqrt(dn)
-
-    def point(tau: float) -> np.ndarray:
-        return math.cosh(tau) * p0 + math.sinh(tau) * d
-
-    taus = np.linspace(-3.0, 3.0, 61)
-    vals = [neg_clearance(_klein_of_vec(point(t))) for t in taus]
-    k = int(np.argmin(vals))
-    lo, hi = taus[max(k - 1, 0)], taus[min(k + 1, len(taus) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    for _ in range(80):
-        c1 = b - invphi * (b - a)
-        c2 = a + invphi * (b - a)
-        if neg_clearance(_klein_of_vec(point(c1))) < neg_clearance(_klein_of_vec(point(c2))):
-            b = c2
-        else:
-            a = c1
-    return point(0.5 * (a + b))
+    N = V.side_normals * _MINK_DIAG
+    i, j = np.triu_indices(V.n, 1)
+    e = np.cross(N[i], N[j])
+    x0 = np.cross(N[j] - N[i], e) / np.sum(e * e, axis=1)[:, None]
+    a = x0 @ N.T
+    b = e @ N.T
+    side = np.arange(V.n)
+    other = (side != i[:, None]) & (side != j[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (1.0 - a) / b
+    lo = np.max(np.where(other & (b > 0.0), s, -np.inf), axis=1)
+    hi = np.min(np.where(other & (b < 0.0), s, np.inf), axis=1)
+    s = np.concatenate([lo, hi])
+    finite = np.isfinite(s)
+    pair = np.tile(np.arange(len(i)), 2)[finite]
+    ends = x0[pair] + s[finite, None] * e[pair]
+    norm2 = ends[:, 2] ** 2 - ends[:, 0] ** 2 - ends[:, 1] ** 2
+    future = (ends[:, 2] > 0.0) & (norm2 > 0.0)
+    ends = ends[future]
+    clearance = np.min(ends @ N.T, axis=1) / np.sqrt(norm2[future])
+    c = unit_timelike(ends[int(np.argmax(clearance))])
+    return c, math.asinh(float(np.min(N @ c.vec)))
 
 
 def rhombus(a: float, b: float) -> ConvexPolygon:

@@ -38,12 +38,12 @@ ULTRAPARALLEL = "ultraparallel"
 COINCIDENT = "coincident"
 
 
-def _vec3(obj) -> np.ndarray:
+def _vec3(obj, stacked: bool = False) -> np.ndarray:
     v = getattr(obj, "vec", None)
     if v is not None:
         return v
     a = np.asarray(obj, dtype=float)
-    if a.shape != (3,):
+    if a.shape[-1:] != (3,) or (a.ndim > 1 and not stacked):
         raise GeometryError(f"expected a 3-vector, got shape {a.shape}")
     return a
 
@@ -171,9 +171,12 @@ def unit_spacelike(v) -> HLine:
 
 
 def lorentz_cross(a, b) -> np.ndarray:
-    """Bilinear-form-adjusted cross product: B(result, a) = B(result, b) = 0."""
-    c = np.cross(_vec3(a), _vec3(b))
-    c[2] = -c[2]
+    """Bilinear-form-adjusted cross product: B(result, a) = B(result, b) = 0.
+
+    Stacked (..., 3) arrays give one product per row.
+    """
+    c = np.cross(_vec3(a, stacked=True), _vec3(b, stacked=True))
+    c[..., 2] = -c[..., 2]
     return c
 
 

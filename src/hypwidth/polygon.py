@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import NonConvex, TooFewVertices
-from .hcore import HLine, HPoint, angle_at, dist_pp
+from .hcore import HLine, HPoint, angle_at, dist_pp, lorentz_cross
 
 # Strict left-turn threshold on Klein-chart cross products.
 CONVEXITY_TOL = 1e-12
@@ -72,14 +72,12 @@ class ConvexPolygon:
     def side_normals(self) -> np.ndarray:
         """Unit normals of the side lines, oriented interior-positive.
 
-        The raw adjusted cross product of consecutive vertices already points
-        inward for a positively oriented cycle, because B(cross(a,b), c)
-        equals det(a, b, c).
+        The Lorentz cross product of consecutive vertices already points
+        inward for a positively oriented cycle, because
+        B(lorentz_cross(a, b), c) equals det(a, b, c).
         """
         m = self.vertex_matrix
-        nxt = np.roll(m, -1, axis=0)
-        w = np.cross(m, nxt)
-        w[:, 2] = -w[:, 2]
+        w = lorentz_cross(m, np.roll(m, -1, axis=0))
         norms = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 2] ** 2)
         w = w / norms[:, None]
         w.flags.writeable = False

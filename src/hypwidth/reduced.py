@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (BracketFailure, EvenGon, GeometryError, LeftFamily,
                      NoConvergence, NonConvex, NotOrdinaryReduced)
 from .hcore import (HPoint, angle_at, chart_to_hyperboloid, dist_pp, foot,
-                    signed_dist)
+                    lorentz_cross, signed_dist)
 from .polygon import ConvexPolygon, make_polygon, side_line, side_lengths
 from .width import diameter, thickness
 
@@ -170,8 +170,7 @@ def _residuals(x: np.ndarray, n: int, delta: float,
     half = (n - 1) // 2
     a = np.roll(pts, -half, axis=0)
     b = np.roll(pts, -(half + 1), axis=0)
-    w = np.cross(a, b)
-    w[:, 2] = -w[:, 2]
+    w = lorentz_cross(a, b)
     norm_sq = w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 2] ** 2
     if np.any(norm_sq <= 0.0):
         return None

@@ -1,16 +1,17 @@
 """Independent oracles used by the acceptance suite (no test cases here).
 
 These deliberately avoid the library's own search strategies: thickness is
-re-derived by dense enumeration over the supporting family, and the smallest
-enclosing disk by exhaustive pair/triple candidate construction.
+re-derived by dense enumeration over the supporting family, the smallest
+enclosing disk by exhaustive pair/triple candidate construction, and the
+largest inscribed disk by exhaustive side-triple construction.
 """
 
 import math
 
 import numpy as np
 
-from hypwidth.hcore import dist_pp, unit_timelike
-from hypwidth.polygon import ConvexPolygon
+from hypwidth.hcore import dist_pp, signed_dist, unit_timelike
+from hypwidth.polygon import ConvexPolygon, side_line
 from hypwidth.width import pencil_line, width_line
 
 _J = np.array([1.0, 1.0, -1.0])
@@ -63,4 +64,26 @@ def oracle_circumdisk(V: ConvexPolygon) -> float:
                 r = max(dist_pp(c, v) for v in V.vertices)
                 if abs(dist_pp(c, V.vertex(i)) - r) < 1e-9:
                     best = min(best, r)
+    return best
+
+
+def oracle_indisk(V: ConvexPolygon) -> float:
+    """Largest inscribed radius via all points equidistant from three sides."""
+    lines = [side_line(V, j) for j in range(V.n)]
+    n = len(lines)
+    best = -math.inf
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                M = np.array([lines[i].vec * _J, lines[j].vec * _J, lines[k].vec * _J])
+                try:
+                    w = np.linalg.solve(M, np.ones(3))
+                except np.linalg.LinAlgError:
+                    continue
+                if w[2] <= 0.0 or w[2] ** 2 - w[0] ** 2 - w[1] ** 2 <= 0.0:
+                    continue
+                c = unit_timelike(w)
+                r = min(signed_dist(c, L) for L in lines)
+                if abs(signed_dist(c, lines[i]) - r) < 1e-9:
+                    best = max(best, r)
     return best

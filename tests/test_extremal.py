@@ -1,17 +1,51 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
-from hypwidth.corpus import random_convex_polygon
+from hypwidth.corpus import perturbed_polygon, random_convex_polygon
 from hypwidth.errors import EvenGon
 from hypwidth.extremal import ScanRow, circumdisk, indisk, ratio_scan, rhombus
-from hypwidth.hcore import (apply_isometry, dist_pp, random_isometry,
+from hypwidth.hcore import (HPoint, apply_isometry, dist_pp, random_isometry,
                             signed_dist, unit_timelike)
 from hypwidth.polygon import make_polygon, side_line
-from hypwidth.reduced import check_ordinary_reduced, regular_apothem, regular_ngon
+from hypwidth.reduced import (check_ordinary_reduced, regular_apothem, regular_ngon,
+                              regular_ngon_with_thickness, solve_ordinary_reduced)
 from hypwidth.width import diameter, thickness
-from test_acceptance_oracles import oracle_circumdisk
+from test_acceptance_oracles import oracle_circumdisk, oracle_indisk
+
+
+@pytest.fixture(scope="module")
+def solved_pentagons():
+    """The two non-regular rows of ratio_scan([5], [1.0], 2, rng_seed=2019575649).
+
+    Hard inputs for the disk searches: a descent from the chart centroid used
+    to spend seconds and its whole step budget on one of them.
+    """
+    rng = np.random.default_rng(2019575649)
+    reg = regular_ngon_with_thickness(5, 1.0)
+    return [solve_ordinary_reduced(perturbed_polygon(reg, rng), 1.0) for _ in range(2)]
+
+
+def oracle_inputs(rng, solved_pentagons):
+    """Random polygons near the origin, copies moved up to distance 4 away
+    from it (where float coordinates grow like e^4), and the hard pentagons."""
+    polys = [random_convex_polygon(rng, int(rng.integers(3, 10))) for _ in range(25)]
+    moved = []
+    for V in polys[:5]:
+        M = random_isometry(rng, 4.0)
+        moved.append(make_polygon([apply_isometry(M, v) for v in V.vertices]))
+    return polys + moved + solved_pentagons
+
+
+def ultraparallel_quadrilateral(h, x1, x2):
+    """Vertices at arc length -x1 and x2 on the two lines perpendicular to
+    the y-axis geodesic at distance h on either side of the origin."""
+    def point(x, y):
+        return HPoint(math.sinh(x), math.sinh(y) * math.cosh(x),
+                      math.cosh(y) * math.cosh(x))
+    return make_polygon([point(x2, -h), point(x2, h), point(-x1, h), point(-x1, -h)])
 
 
 class TestCircumdisk:
@@ -34,9 +68,8 @@ class TestCircumdisk:
         mid = unit_timelike(V.vertex(i).vec + V.vertex(j).vec)
         assert dist_pp(c, mid) < 1e-7
 
-    def test_matches_combinatorial_oracle(self, rng):
-        for _ in range(25):
-            V = random_convex_polygon(rng, int(rng.integers(3, 10)))
+    def test_matches_combinatorial_oracle(self, rng, solved_pentagons):
+        for V in oracle_inputs(rng, solved_pentagons):
             _, r = circumdisk(V)
             assert r == pytest.approx(oracle_circumdisk(V), abs=1e-8)
 
@@ -80,6 +113,24 @@ class TestIndisk:
             W = make_polygon([apply_isometry(M, v) for v in V.vertices])
             assert indisk(W)[1] == pytest.approx(indisk(V)[1], abs=1e-9)
             assert circumdisk(W)[1] == pytest.approx(circumdisk(V)[1], abs=1e-9)
+
+    def test_matches_combinatorial_oracle(self, rng, solved_pentagons):
+        for V in oracle_inputs(rng, solved_pentagons):
+            _, r = indisk(V)
+            assert r == pytest.approx(oracle_indisk(V), abs=1e-9)
+
+    def test_ultraparallel_quadrilaterals(self):
+        # Two ultraparallel sides drift apart away from their common
+        # perpendicular, so the clearance has a local maximum near each end.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            h = rng.uniform(0.05, 0.4)
+            x1, x2 = rng.uniform(1.0, 3.0, size=2)
+            M = random_isometry(rng, 1.0)
+            V = make_polygon([apply_isometry(M, v)
+                              for v in ultraparallel_quadrilateral(h, x1, x2).vertices])
+            _, r = indisk(V)
+            assert r == pytest.approx(oracle_indisk(V), abs=1e-9), (h, x1, x2)
 
     def test_equilateral_radius_chain(self):
         V = regular_ngon(3, 1.0)

@@ -108,6 +108,7 @@ class TestLineThrough:
         assert np.allclose(L.canonical().vec, [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_defining_property(self, rng):
+        pairs = []
         for _ in range(100):
             p, q = random_point(rng), random_point(rng)
             if dist_pp(p, q) < 1e-3:
@@ -115,6 +116,12 @@ class TestLineThrough:
             L = line_through(p, q)
             assert abs(mink(L, p)) < 1e-12
             assert abs(mink(L, q)) < 1e-12
+            pairs.append((p.vec, q.vec))
+        # the Lorentz cross product of stacked rows is the row-wise product
+        P, Q = np.array(pairs).transpose(1, 0, 2)
+        C = lorentz_cross(P, Q)
+        assert C.shape == P.shape
+        assert all(np.array_equal(c, lorentz_cross(p, q)) for c, p, q in zip(C, P, Q))
 
     def test_coincident_points_rejected(self):
         with pytest.raises(GeometryError):
