@@ -175,9 +175,11 @@ def lorentz_cross(a, b) -> np.ndarray:
 
     Stacked (..., 3) arrays give one product per row.
     """
-    c = np.cross(_vec3(a, stacked=True), _vec3(b, stacked=True))
-    c[..., 2] = -c[..., 2]
-    return c
+    a = _vec3(a, stacked=True)
+    b = _vec3(b, stacked=True)
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1]], axis=-1)
 
 
 def dist_pp(p, q) -> float:

@@ -24,7 +24,6 @@ from .polygon import ConvexPolygon, make_polygon, side_line, side_lengths
 from .width import diameter, thickness
 
 REDUCED_TOL = 1e-9
-BISECT_TOL = 1e-10
 SOLVER_RESIDUAL_TOL = 1e-10
 SOLVER_FD_STEP = 1e-7
 SOLVER_MAX_ITERATIONS = 200
@@ -116,45 +115,39 @@ def regular_apothem(n: int, R: float) -> float:
 
 def regular_ngon_with_thickness(n: int, delta: float,
                                 r_max: float = 50.0) -> ConvexPolygon:
-    """Regular odd n-gon whose thickness equals delta within BISECT_TOL.
+    """Regular odd n-gon whose thickness equals delta.
 
-    The circumradius is found by bisection on the full thickness pipeline.
-    The map R -> thickness is continuous and strictly increasing; the
-    bracket endpoints are verified to straddle delta rather than assumed.
+    The thickness of a regular odd n-gon is the distance from a vertex to
+    the opposite side through the center, R + atanh(tanh(R) cos(pi/n)).
+    It inverts in closed form: with c = cos(pi/n), tanh R is
+    2t / ((1+c) + sqrt((1+c)^2 - 4ct^2)) for t = tanh(delta), here written
+    as the positive root u = exp(-2R) of (1+c) u^2 + (1-c)(1-w) u - (1+c) w
+    with w = exp(-2 delta), which stays accurate where t rounds to 1.  Three
+    Newton steps on the thickness then polish R to rounding level.  Raises
+    BracketFailure when R is not below r_max or the polygon is too small to
+    be strictly convex in floating point.
     """
     if not (delta > 0.0) or not math.isfinite(delta):
         raise GeometryError(f"thickness must be positive and finite, got {delta}")
-    lo, hi = 1e-8, min(delta, r_max)
-
-    def f(R: float) -> float:
-        return thickness(regular_ngon(n, R)).thickness - delta
-
-    # Below a constructibility floor the Klein cross products of a regular
-    # polygon drop under the strict-convexity threshold; grow the lower
-    # endpoint past it instead of failing there.
-    f_lo = None
-    while lo < hi:
-        try:
-            f_lo = f(lo)
-            break
-        except NonConvex:
-            lo *= 10.0
-    if f_lo is None or not (f_lo < 0.0 < f(hi)):
+    if n < 3 or n % 2 == 0:
+        raise EvenGon(f"regular construction requires an odd n >= 3, got n = {n}")
+    c = math.cos(math.pi / n)
+    k = -(1.0 - c) * math.expm1(-2.0 * delta)
+    R = delta + 0.5 * math.log(
+        (k + math.hypot(k, 2.0 * (1.0 + c) * math.exp(-delta))) / (2.0 * (1.0 + c)))
+    for _ in range(3):
+        tr = math.tanh(R)
+        R -= ((R + regular_apothem(n, R) - delta)
+              / (1.0 + c * (1.0 - tr * tr) / (1.0 - c * c * tr * tr)))
+    if not R < r_max:
         raise BracketFailure(
-            f"no circumradius bracket for thickness {delta} in ({lo}, {r_max})")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if abs(val) <= BISECT_TOL:
-            return regular_ngon(n, mid)
-        if val < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, hi):
-            break
-    raise NoConvergence(
-        f"bisection stalled at interval ({lo}, {hi}) without reaching {BISECT_TOL}")
+            f"thickness {delta} needs circumradius {R} outside (0, {r_max})")
+    try:
+        return regular_ngon(n, R)
+    except NonConvex as exc:
+        raise BracketFailure(
+            f"thickness {delta} needs circumradius {R}, below the size at which a "
+            f"regular {n}-gon is strictly convex in floating point") from exc
 
 
 def _residuals(x: np.ndarray, n: int, delta: float,

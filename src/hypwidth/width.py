@@ -3,13 +3,19 @@
 The width determined by a supporting line L is the maximum distance from L to
 a point of the polygon, which for polygons is attained at a vertex.  Thickness
 minimizes and the dual diameter search maximizes that width over the full
-family of supporting lines: the n side lines plus, at each vertex, the pencil
-of supporting lines rotating between the two adjacent side lines.
+family of supporting lines: the n side lines plus, at each vertex v_i, the
+pencil of supporting lines rotating between the two adjacent side lines.
 
-Width along a single pencil is continuous but not assumed unimodal: every
-pencil is first sampled at PENCIL_SAMPLES equispaced parameters and a
-golden-section search then refines around the best sample.  Searches run in a
-fixed index order so results are deterministic.
+Both searches are exact.  With u0 and u1 the normals of the sides meeting at
+v_i, cos(omega) = B(u0, u1) and e = (u1 - u0 cos(omega)) / sin(omega), the
+pencil is u(theta) = u0 cos(theta) + e sin(theta) for theta in [0, omega],
+and B(v_j, u(theta)) = a_j cos(theta) + b_j sin(theta) with a_j = B(v_j, u0)
+and b_j = B(v_j, e).  The width along the pencil is asinh of the upper
+envelope of these sinusoids.  Each piece of the envelope is a nonnegative,
+hence concave, sinusoid, so the thickness is attained at a pencil end (a side
+line) or at an envelope breakpoint, which a sweep along the envelope visits
+in order; the maximum of a piece is its amplitude sinh d(v_i, v_j) when its
+peak lies inside the pencil, which gives the diameter in closed form.
 """
 
 from __future__ import annotations
@@ -20,15 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSupporting
-from .hcore import HLine, mink
-from .polygon import ConvexPolygon
+from .hcore import HLine, mink, unit_spacelike
+from .polygon import _MINK_DIAG, ConvexPolygon
 
 SUPPORT_TOL = 1e-9
 SIDE_ATTAIN_TOL = 1e-9
-PENCIL_SAMPLES = 64
-GOLDEN_TOL = 1e-12
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -44,9 +46,12 @@ class WidthReport:
 class ThicknessReport:
     """Minimum width over all supporting lines.
 
+    The minimum is exact: it is taken over the side lines and every
+    breakpoint of the width envelope inside the vertex pencils.
     achieved_on_side is the index of a side line attaining the minimum within
-    SIDE_ATTAIN_TOL, or None when only a pencil-interior line attains it.
-    Ties are not enumerated; one argmin line is reported.
+    SIDE_ATTAIN_TOL, or None when only a pencil-interior line (an envelope
+    breakpoint) attains it.  Ties are not enumerated; one argmin line is
+    reported.
     """
 
     thickness: float
@@ -54,52 +59,16 @@ class ThicknessReport:
     achieved_on_side: int | None
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = GOLDEN_TOL):
-    """Golden-section minimum of f on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    n = max(1, int(math.ceil(math.log(tol / h) / math.log(_INVPHI))))
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    yc, yd = f(c), f(d)
-    for _ in range(n):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h *= _INVPHI
-            c = b - _INVPHI * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INVPHI
-            d = a + _INVPHI * h
-            yd = f(d)
-    return (c, yc) if yc < yd else (d, yd)
-
-
-def _slerp(u0: np.ndarray, u1: np.ndarray, s) -> np.ndarray:
+def _slerp(u0: np.ndarray, u1: np.ndarray, s: float) -> np.ndarray:
     """Arc interpolation between two unit normals in a vertex tangent plane.
 
     Both endpoints are interior-positive supporting normals at the same
-    vertex, so every interpolant is one as well.  Scalar s gives a 3-vector,
-    an array of m parameters a (3, m) matrix.
+    vertex, so every interpolant is one as well.
     """
-    s = np.asarray(s, dtype=float)
     omega = math.acos(max(-1.0, min(1.0, mink(u0, u1))))
     if omega < 1e-12:
-        if s.ndim == 0:
-            return u0.copy()
-        return np.repeat(u0[:, None], len(s), axis=1)
-    return (np.multiply.outer(u0, np.sin((1.0 - s) * omega))
-            + np.multiply.outer(u1, np.sin(s * omega))) / math.sin(omega)
-
-
-def _pencil(V: ConvexPolygon, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two adjacent interior-positive side normals meeting at vertex i."""
-    normals = V.side_normals
-    return normals[(i - 1) % V.n], normals[i % V.n]
+        return u0.copy()
+    return (u0 * math.sin((1.0 - s) * omega) + u1 * math.sin(s * omega)) / math.sin(omega)
 
 
 def pencil_line(V: ConvexPolygon, i: int, s: float) -> HLine:
@@ -108,14 +77,81 @@ def pencil_line(V: ConvexPolygon, i: int, s: float) -> HLine:
     s = 0 gives the side line ending at vertex i, s = 1 the one starting
     there; interior s touch the polygon at vertex i only.
     """
-    u0, u1 = _pencil(V, i)
-    u = _slerp(u0, u1, float(s))
+    normals = V.side_normals
+    u = _slerp(normals[(i - 1) % V.n], normals[i % V.n], float(s))
     return HLine(u[0], u[1], u[2])
 
 
-def _supported_width(V: ConvexPolygon, u: np.ndarray) -> float:
-    """Width over an interior-positive supporting normal (no support check)."""
-    return math.asinh(max(float(np.max(V.mink_rows @ u)), 0.0))
+def _pencil_frames(V: ConvexPolygon):
+    """The frame (u0, e, omega) of every vertex pencil, with cos and sin of omega.
+
+    Row i belongs to vertex i: u0 is the normal of side i-1 and the pencil
+    u0 cos(theta) + e sin(theta) reaches the normal of side i at omega.
+    """
+    u1 = V.side_normals
+    u0 = np.roll(u1, 1, axis=0)
+    cos_w = np.clip((u0 * u1) @ _MINK_DIAG, -1.0, 1.0)
+    omega = np.arccos(cos_w)
+    sin_w = np.sin(omega)
+    # A straight angle leaves u1 = u0 and nothing to sweep; any finite e does.
+    e = (u1 - cos_w[:, None] * u0) / np.where(sin_w > 0.0, sin_w, 1.0)[:, None]
+    return u0, e, omega, cos_w, sin_w
+
+
+def _pencil_peaks(p: np.ndarray, q: np.ndarray, cos_w, sin_w) -> np.ndarray:
+    """Largest |p cos(theta) + q sin(theta)| over [0, omega), elementwise.
+
+    The sinusoid peaks (in absolute value, at its amplitude) where its slope
+    q cos(theta) - p sin(theta) vanishes; a pencil is shorter than pi, so that
+    happens inside it exactly when the slope changes sign between its ends.
+    Otherwise the extremum is at an end.  The omega end of pencil i is the
+    0 end of pencil i + 1, so a maximum over all pencils needs only |p| there.
+    """
+    inside = q * (q * cos_w - p * sin_w) <= 0.0
+    return np.where(inside, np.hypot(p, q), np.abs(p))
+
+
+def _envelope_minima(a: np.ndarray, b: np.ndarray, omega: np.ndarray):
+    """Minimum of each row's envelope at theta = 0 and its breakpoints in (0, omega).
+
+    The envelope of row i is max_j (a_ij cos(theta) + b_ij sin(theta)).  All
+    rows sweep their envelopes together, left to right, one breakpoint per
+    step.  Another sinusoid overtakes the active one at the relative angle
+    atan2(-x, y), where x <= 0 is its value gap and y its slope gap; the
+    smallest such angle is the next breakpoint.  A sinusoid tied with the
+    active one and steeper takes over at once, and at a fixed angle every
+    move raises the active slope, so the sweep cannot cycle.  Returns the
+    minima and the angles attaining them.
+    """
+    low = np.full(a.shape[0], np.inf)
+    low_at = np.zeros(a.shape[0])
+    theta = np.zeros(a.shape[0])
+    top = np.argmax(a, axis=1)
+    live = np.arange(a.shape[0])
+    while live.size:
+        rows = np.arange(live.size)
+        c = np.cos(theta[live])[:, None]
+        s = np.sin(theta[live])[:, None]
+        al, bl = a[live], b[live]
+        f = al * c + bl * s
+        g = bl * c - al * s
+        value = f.max(axis=1)
+        lower = value < low[live]
+        low[live[lower]] = value[lower]
+        low_at[live[lower]] = theta[live[lower]]
+        j = top[live]
+        x = np.minimum(f - f[rows, j][:, None], 0.0)
+        y = g - g[rows, j][:, None]
+        step = np.arctan2(-x, y)
+        # Tied but not steeper (the active one itself included): never overtakes.
+        step[(x == 0.0) & (y <= 0.0)] = np.inf
+        k = np.argmin(step, axis=1)
+        nxt = theta[live] + step[rows, k]
+        go = nxt < omega[live]
+        live = live[go]
+        theta[live] = nxt[go]
+        top[live] = k[go]
+    return low, low_at
 
 
 def _oriented_support_values(V: ConvexPolygon, L: HLine) -> np.ndarray:
@@ -151,76 +187,39 @@ def width_line(V: ConvexPolygon, L: HLine) -> WidthReport:
 def width_ultraparallel_oracle(V: ConvexPolygon, L: HLine) -> float:
     """Width of V at L via its definition over ultraparallel supporting lines.
 
-    Sweeps the pencils of supporting lines at every vertex, keeps the lines
-    ultraparallel to L, and maximizes the distance arccosh(|B(uL, u)|) along
-    the common perpendicular by golden-section search per pencil.  Side lines
-    are the pencil endpoints, so the full supporting family is covered.
+    Maximizes the distance arccosh(|B(uL, u)|) along the common perpendicular
+    over the supporting lines u ultraparallel to L.  Along each vertex pencil
+    B(uL, u) is a single sinusoid in the two side normals, so its largest
+    modulus has a closed form; the vertices enter only through the support
+    check.  Side lines are the pencil endpoints, so the full supporting
+    family is covered.
     """
     _oriented_support_values(V, L)
-    uL = L.vec
-
-    best = 0.0
-    for i in range(V.n):
-        u0, u1 = _pencil(V, i)
-
-        def gap(s: float) -> float:
-            c = abs(mink(uL, _slerp(u0, u1, s)))
-            # 0 whenever the lines are not ultraparallel; continuous in s.
-            return math.acosh(c) if c > 1.0 else 0.0
-
-        samples = np.linspace(0.0, 1.0, PENCIL_SAMPLES)
-        U = _slerp(u0, u1, samples)
-        cs = np.abs(uL[0] * U[0] + uL[1] * U[1] - uL[2] * U[2])
-        vals = np.arccosh(np.maximum(cs, 1.0))
-        k = int(np.argmax(vals))
-        lo = samples[max(k - 1, 0)]
-        hi = samples[min(k + 1, PENCIL_SAMPLES - 1)]
-        _, neg = _golden_min(lambda s: -gap(s), lo, hi, tol=1e-10)
-        best = max(best, float(vals[k]), -neg)
-    return best
-
-
-def _pencil_extremum(V: ConvexPolygon, i: int, sign: float):
-    """Min (sign=+1) or max (sign=-1) of width over the pencil at vertex i."""
-    u0, u1 = _pencil(V, i)
-    samples = np.linspace(0.0, 1.0, PENCIL_SAMPLES)
-    U = _slerp(u0, u1, samples)
-    vals = np.arcsinh(np.maximum(V.mink_rows @ U, 0.0).max(axis=0))
-    k = int(np.argmin(sign * vals))
-
-    def f(s: float) -> float:
-        return sign * _supported_width(V, _slerp(u0, u1, s))
-
-    lo = samples[max(k - 1, 0)]
-    hi = samples[min(k + 1, PENCIL_SAMPLES - 1)]
-    s_star, f_star = _golden_min(f, lo, hi)
-    if sign * vals[k] < f_star:
-        s_star, f_star = samples[k], sign * vals[k]
-    return float(s_star), float(sign * f_star)
+    u0, e, _, cos_w, sin_w = _pencil_frames(V)
+    w = L.vec * _MINK_DIAG
+    c = float(np.max(_pencil_peaks(u0 @ w, e @ w, cos_w, sin_w)))
+    # 0 whenever no supporting line is ultraparallel to L.
+    return math.acosh(c) if c > 1.0 else 0.0
 
 
 def thickness(V: ConvexPolygon) -> ThicknessReport:
     """Minimum width over all supporting lines of V."""
-    side_widths = [_supported_width(V, V.side_normals[j]) for j in range(V.n)]
+    u0, e, omega, _, _ = _pencil_frames(V)
+    a = u0 @ V.mink_rows.T
+    b = e @ V.mink_rows.T
+    low, low_at = _envelope_minima(a, b, omega)
+    i = int(np.argmin(low))
+    best_val = math.asinh(max(float(low[i]), 0.0))
+    # Pencil i starts on side i - 1, so side j is row j + 1 at theta = 0.
+    side_widths = np.arcsinh(np.maximum(np.roll(a.max(axis=1), -1), 0.0))
 
-    best_val = math.inf
-    best_line: HLine | None = None
-    for j in range(V.n):
-        if side_widths[j] < best_val:
-            best_val = side_widths[j]
-            best_line = HLine.from_vec(V.side_normals[j])
-    for i in range(V.n):
-        s_star, w_star = _pencil_extremum(V, i, +1.0)
-        if w_star < best_val:
-            best_val = w_star
-            best_line = pencil_line(V, i, s_star)
-
-    achieved: int | None = None
-    for j in range(V.n):
-        if side_widths[j] <= best_val + SIDE_ATTAIN_TOL:
-            achieved = j
-            best_line = HLine.from_vec(V.side_normals[j])
-            break
+    hits = np.flatnonzero(side_widths <= best_val + SIDE_ATTAIN_TOL)
+    if hits.size:
+        achieved: int | None = int(hits[0])
+        best_line = HLine.from_vec(V.side_normals[achieved])
+    else:
+        achieved = None
+        best_line = unit_spacelike(u0[i] * math.cos(low_at[i]) + e[i] * math.sin(low_at[i]))
     return ThicknessReport(thickness=best_val, argmin_line=best_line,
                            achieved_on_side=achieved)
 
@@ -240,9 +239,14 @@ def diameter(V: ConvexPolygon) -> tuple[float, tuple[int, int]]:
 
 
 def diameter_via_width(V: ConvexPolygon) -> float:
-    """Maximum width over all supporting lines; equals the diameter."""
-    best = max(_supported_width(V, V.side_normals[j]) for j in range(V.n))
-    for i in range(V.n):
-        _, w_star = _pencil_extremum(V, i, -1.0)
-        best = max(best, w_star)
-    return best
+    """Maximum width over all supporting lines; equals the diameter.
+
+    Along the pencil at v_i, B(v_j, u) peaks at sinh d(v_i, v_j) where the
+    line is perpendicular to the segment v_i v_j, if that line lies in the
+    pencil; otherwise at a side line.
+    """
+    u0, e, _, cos_w, sin_w = _pencil_frames(V)
+    a = u0 @ V.mink_rows.T
+    b = e @ V.mink_rows.T
+    peak = float(np.max(_pencil_peaks(a, b, cos_w[:, None], sin_w[:, None])))
+    return math.asinh(max(peak, 0.0))

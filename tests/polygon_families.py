@@ -1,0 +1,65 @@
+"""Seeded polygon families for the hard-case tests (no test cases here).
+
+Both generators are convex by construction at any size: a Klein-chart hull
+is a hyperbolic hull, and distinct points of a circle in angular order are
+in strictly convex position.
+"""
+
+import math
+
+import numpy as np
+
+from hypwidth.hcore import HPoint, chart_to_hyperboloid, rotation, translation_x
+from hypwidth.polygon import ConvexPolygon, make_polygon
+
+
+def _klein_hull(k: np.ndarray) -> list:
+    """Monotone-chain hull, counterclockwise, keeping only clearly strict turns.
+
+    Turns below 1e-9 are dropped, well above make_polygon's convexity
+    threshold, so nearly collinear hull points never reach it.
+    """
+    pts = sorted(map(tuple, k))
+
+    def chain(ps):
+        out = []
+        for p in ps:
+            while len(out) >= 2:
+                (x1, y1), (x2, y2) = out[-2], out[-1]
+                if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) > 1e-9:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    return chain(pts)[:-1] + chain(pts[::-1])[:-1]
+
+
+def squashed_hull(rng: np.random.Generator, points: int = 40) -> ConvexPolygon:
+    """Hull of random points in a disk of radius 0.5-4, squashed in y by 0.05-1.
+
+    Points are uniform in geodesic polar radius and angle; the squash scales
+    the Klein y coordinate, which keeps them inside the disk.  Thin hulls
+    have sharp vertices whose pencils cross many envelope pieces.
+    """
+    radius = rng.uniform(0.5, 4.0)
+    squash = rng.uniform(0.05, 1.0)
+    r = np.tanh(rng.uniform(0.0, radius, points))
+    theta = rng.uniform(0.0, 2.0 * math.pi, points)
+    k = np.column_stack([r * np.cos(theta), squash * r * np.sin(theta)])
+    return make_polygon([chart_to_hyperboloid(x, y, "klein") for x, y in _klein_hull(k)])
+
+
+def jittered_circle_polygon(rng: np.random.Generator, n: int, R: float,
+                            shift: float) -> ConvexPolygon:
+    """n-gon inscribed in a circle of radius R, moved a distance shift off the origin.
+
+    Vertex k sits at angle 2*pi*k/n jittered by up to 0.35 of the spacing,
+    which keeps the angular order.
+    """
+    theta = 2.0 * math.pi / n * (np.arange(n) + 0.35 * rng.uniform(-1.0, 1.0, n))
+    pts = np.column_stack([math.sinh(R) * np.cos(theta), math.sinh(R) * np.sin(theta),
+                           np.full(n, math.cosh(R))])
+    pts = pts @ (rotation(rng.uniform(0.0, 2.0 * math.pi)) @ translation_x(shift)).T
+    pts /= np.sqrt(pts[:, 2] ** 2 - pts[:, 0] ** 2 - pts[:, 1] ** 2)[:, None]
+    return make_polygon(HPoint.from_vec(p) for p in pts)

@@ -1,16 +1,17 @@
 """Independent oracles used by the acceptance suite (no test cases here).
 
 These deliberately avoid the library's own search strategies: thickness is
-re-derived by dense enumeration over the supporting family, the smallest
-enclosing disk by exhaustive pair/triple candidate construction, and the
-largest inscribed disk by exhaustive side-triple construction.
+re-derived by dense enumeration over the supporting family and by evaluating
+every pairwise crossing inside each pencil, the smallest enclosing disk by
+exhaustive pair/triple candidate construction, and the largest inscribed
+disk by exhaustive side-triple construction.
 """
 
 import math
 
 import numpy as np
 
-from hypwidth.hcore import dist_pp, signed_dist, unit_timelike
+from hypwidth.hcore import dist_pp, mink, signed_dist, unit_timelike
 from hypwidth.polygon import ConvexPolygon, side_line
 from hypwidth.width import pencil_line, width_line
 
@@ -37,6 +38,35 @@ def dense_thickness(V: ConvexPolygon, total_lines: int = 10_000) -> float:
         for s in np.linspace(lo, hi, per_stage):
             best = min(best, width_line(V, pencil_line(V, i, float(s))).width)
     return best
+
+
+def brute_thickness(V: ConvexPolygon) -> float:
+    """Minimum width with every pairwise crossing in each pencil as a candidate.
+
+    Along the pencil u0 cos(t) + e sin(t), t in [0, omega], at vertex i the
+    vertex terms B(v_j, u) are sinusoids a_j cos(t) + b_j sin(t), and the
+    minimum of their upper envelope lies at an end or where two of them
+    cross.  All O(n^2) crossings are evaluated against all n sinusoids.
+    """
+    best = math.inf
+    for i in range(V.n):
+        u0 = side_line(V, i - 1).vec
+        u1 = side_line(V, i).vec
+        c = mink(u0, u1)
+        omega = math.acos(max(-1.0, min(1.0, c)))
+        e = (u1 - c * u0) / math.sin(omega)
+        a = np.array([mink(v, u0) for v in V.vertices])
+        b = np.array([mink(v, e) for v in V.vertices])
+        cand = [0.0, omega]
+        for j in range(V.n):
+            for k in range(j + 1, V.n):
+                t = math.atan2(a[j] - a[k], b[k] - b[j]) % math.pi
+                if t < omega:
+                    cand.append(t)
+        cand = np.array(cand)
+        envelope = np.max(np.outer(np.cos(cand), a) + np.outer(np.sin(cand), b), axis=1)
+        best = min(best, float(np.min(envelope)))
+    return math.asinh(max(best, 0.0))
 
 
 def oracle_circumdisk(V: ConvexPolygon) -> float:

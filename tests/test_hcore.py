@@ -128,6 +128,21 @@ class TestLineThrough:
             line_through(ORIGIN, ORIGIN)
 
 
+class TestLorentzCross:
+    def test_matches_numpy_cross_bitwise(self, rng):
+        def reference(a, b):
+            c = np.cross(a, b)
+            c[..., 2] = -c[..., 2]
+            return c
+
+        A = rng.normal(size=(50, 3))
+        B = rng.normal(size=(50, 3))
+        for a, b in ((A[0], B[0]), (A, B), (A[0], B)):
+            got, want = lorentz_cross(a, b), reference(a, b)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestSignedDist:
     def test_equidistant_curve(self):
         t = 0.7

@@ -104,8 +104,19 @@ class TestRegularNgonWithThickness:
         assert abs(ratio9 - 1.0) < abs(ratio3 - 1.0)
 
     def test_bracket_failure(self):
-        with pytest.raises(BracketFailure):
-            regular_ngon_with_thickness(3, 60.0)
+        # too large for r_max, and too small to be strictly convex in floating point
+        for delta in (60.0, 1e-7):
+            with pytest.raises(BracketFailure):
+                regular_ngon_with_thickness(3, delta)
+
+    def test_closed_form_grid(self):
+        for n in range(3, 52, 2):
+            for delta in (1e-3, 0.01, 1.0, 6.0, 10.0):
+                V = regular_ngon_with_thickness(n, delta)
+                v = V.vertex(0)
+                R = math.asinh(math.hypot(v.x, v.y))
+                assert R + regular_apothem(n, R) == pytest.approx(delta, rel=1e-12)
+                assert thickness(V).thickness == pytest.approx(delta, abs=1e-9)
 
 
 class TestSolve:

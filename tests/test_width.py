@@ -12,6 +12,8 @@ from hypwidth.polygon import make_polygon, side_line
 from hypwidth.reduced import regular_apothem, regular_ngon
 from hypwidth.width import (diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
+from polygon_families import jittered_circle_polygon, squashed_hull
+from test_acceptance_oracles import brute_thickness, dense_thickness
 
 
 def altitude(R, n):
@@ -126,6 +128,45 @@ class TestThickness:
             assert thickness(W).thickness == pytest.approx(
                 thickness(V).thickness, abs=1e-10)
             assert diameter(W)[0] == pytest.approx(diameter(V)[0], abs=1e-10)
+
+
+class TestThicknessExact:
+    def test_random_polygons_match_brute_oracle(self):
+        # Draw 91 of this stream has its minimum at an envelope breakpoint
+        # that a sampled pencil search overshot by 3.2e-5.
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(100):
+            V = random_convex_polygon(rng, int(rng.integers(3, 10)))
+            worst = max(worst, abs(thickness(V).thickness - brute_thickness(V)))
+        assert worst <= 1e-12
+
+    def test_squashed_hulls(self):
+        rng = np.random.default_rng(11)
+        hulls = [squashed_hull(rng) for _ in range(60)]
+        reports = [thickness(V) for V in hulls]
+        for V, rep in zip(hulls, reports):
+            assert rep.thickness == pytest.approx(brute_thickness(V), abs=1e-12)
+            assert diameter_via_width(V) == pytest.approx(diameter(V)[0], abs=1e-10)
+        # the breakpoint branch is exercised, not only the side lines
+        breakpoints = [(V, rep) for V, rep in zip(hulls, reports)
+                       if rep.achieved_on_side is None]
+        assert breakpoints
+        for V, rep in breakpoints:
+            assert width_line(V, rep.argmin_line).width == pytest.approx(
+                rep.thickness, abs=1e-12)
+        for V, rep in zip(hulls[:6], reports):
+            assert rep.thickness <= dense_thickness(V) + 1e-9
+
+    def test_large_n(self):
+        rng = np.random.default_rng(1001)
+        V = jittered_circle_polygon(rng, 1001, 1.5, 1.0)
+        t = thickness(V).thickness
+        # slack for a matrix product rounding differently from a matrix-vector one
+        assert all(t <= width_line(V, side_line(V, j)).width + 1e-12 for j in range(V.n))
+        assert diameter_via_width(V) == pytest.approx(diameter(V)[0], abs=1e-10)
+        assert thickness(regular_ngon(1001, 1.3)).thickness == pytest.approx(
+            altitude(1.3, 1001), abs=1e-9)
 
 
 class TestDiameter:
