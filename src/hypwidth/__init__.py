@@ -2,8 +2,9 @@
 
 The package works in the hyperboloid (Minkowski) model: points are unit
 timelike vectors on the upper sheet, geodesic lines are unit spacelike
-normals, and the Klein disk serves as the chart for convexity tests, solving
-and rendering.
+normals, and the Klein disk serves as the chart for convexity tests and
+rendering.  The reduced-polygon solver works on the (x, y) coordinates of the
+hyperboloid, which cover the whole plane.
 """
 
 from .errors import (BracketFailure, EvenGon, GeometryError, LeftFamily,

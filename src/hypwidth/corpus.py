@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import GeometryError, NonConvex
-from .hcore import HPoint, geodesic_point, signed_dist
+from .hcore import HPoint, chart_to_hyperboloid, geodesic_point, signed_dist
 from .polygon import ConvexPolygon, make_polygon, side_line
 
 
@@ -55,9 +55,7 @@ def nested_pair(rng: np.random.Generator) -> tuple[ConvexPolygon, ConvexPolygon]
         lam = rng.uniform(0.35, 0.8)
         center = W.klein.mean(axis=0)
         shrunk = center + lam * (W.klein - center)
-        d = np.sqrt(1.0 - shrunk[:, 0] ** 2 - shrunk[:, 1] ** 2)
-        U = make_polygon([HPoint(x / dd, y / dd, 1.0 / dd)
-                          for (x, y), dd in zip(shrunk, d)])
+        U = make_polygon([chart_to_hyperboloid(x, y, "klein") for x, y in shrunk])
     else:
         drop = int(rng.integers(0, n))
         U = make_polygon([W.vertex(i) for i in range(n) if i != drop])
@@ -66,26 +64,22 @@ def nested_pair(rng: np.random.Generator) -> tuple[ConvexPolygon, ConvexPolygon]
 
 def perturbed_polygon(V: ConvexPolygon, rng: np.random.Generator,
                       radial: float = 0.03, angular: float = 0.02) -> ConvexPolygon:
-    """Convex perturbation of V: vertices jittered in polar Klein coordinates.
+    """Convex perturbation of V: vertices jittered in geodesic polar coordinates.
 
-    radial scales the relative radius jitter, angular the jitter as a
-    fraction of the mean angular spacing.  Retries with shrinking magnitude
-    until the result is convex.
+    Each vertex at distance rho from the chart origin moves to distance
+    rho * (1 + radial * u) with u uniform in [-1, 1]; angular scales the
+    angle jitter as a fraction of the mean angular spacing.  Retries with
+    shrinking magnitude until the result is convex.
     """
-    k = V.klein
-    r = np.hypot(k[:, 0], k[:, 1])
-    theta = np.arctan2(k[:, 1], k[:, 0])
+    m = V.vertex_matrix
+    rho = np.arcsinh(np.hypot(m[:, 0], m[:, 1]))
+    theta = np.arctan2(m[:, 1], m[:, 0])
     spacing = 2.0 * math.pi / V.n
     for scale in (1.0, 0.5, 0.25, 0.1):
-        rr = r * (1.0 + scale * radial * rng.uniform(-1.0, 1.0, size=V.n))
+        rr = rho * (1.0 + scale * radial * rng.uniform(-1.0, 1.0, size=V.n))
         tt = theta + scale * angular * spacing * rng.uniform(-1.0, 1.0, size=V.n)
-        rr = np.clip(rr, 1e-6, 1.0 - 1e-9)
-        xs = rr * np.cos(tt)
-        ys = rr * np.sin(tt)
-        d = np.sqrt(1.0 - rr * rr)
         try:
-            return make_polygon([HPoint(x / dd, y / dd, 1.0 / dd)
-                                 for x, y, dd in zip(xs, ys, d)])
+            return make_polygon([_polar_point(r, t) for r, t in zip(rr, tt)])
         except NonConvex:
             continue
     raise GeometryError("perturbation kept breaking convexity")

@@ -70,18 +70,21 @@ class ConvexPolygon:
 
     @cached_property
     def side_normals(self) -> np.ndarray:
-        """Unit normals of the side lines, oriented interior-positive.
-
-        The Lorentz cross product of consecutive vertices already points
-        inward for a positively oriented cycle, because
-        B(lorentz_cross(a, b), c) equals det(a, b, c).
-        """
-        m = self.vertex_matrix
-        w = lorentz_cross(m, np.roll(m, -1, axis=0))
-        norms = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 2] ** 2)
-        w = w / norms[:, None]
+        """Unit normals of the side lines, oriented interior-positive."""
+        w = unit_side_normals(self.vertex_matrix)
         w.flags.writeable = False
         return w
+
+
+def unit_side_normals(m: np.ndarray) -> np.ndarray:
+    """Unit normals of the sides from row j to row j+1 of a vertex cycle.
+
+    The rows are hyperboloid points.  The Lorentz cross product of
+    consecutive vertices already points inward for a positively oriented
+    cycle, because B(lorentz_cross(a, b), c) equals det(a, b, c).
+    """
+    w = lorentz_cross(m, np.roll(m, -1, axis=0))
+    return w / np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 2] ** 2)[:, None]
 
 
 def _turn_crosses(k: np.ndarray) -> np.ndarray:

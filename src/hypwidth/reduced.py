@@ -5,8 +5,11 @@ relative interior of the line through its opposite side and all those
 vertex-to-line distances share one common value, which then equals the
 polygon thickness.  This module checks that criterion, builds regular
 odd-gons (by circumradius or by target thickness), solves for non-regular
-members of the family with a damped least-squares iteration, and evaluates
-the boundary-halving and diameter-bound properties the family satisfies.
+members of the family with a damped least-squares iteration on the (x, y)
+hyperboloid coordinates of the vertices with an exact Jacobian, and
+evaluates the boundary-halving and diameter-bound properties the family
+satisfies.  The check and the solver share one vectorised computation of
+every vertex's distance to its opposite side line.
 """
 
 from __future__ import annotations
@@ -18,21 +21,21 @@ import numpy as np
 
 from .errors import (BracketFailure, EvenGon, GeometryError, LeftFamily,
                      NoConvergence, NonConvex, NotOrdinaryReduced)
-from .hcore import (HPoint, angle_at, chart_to_hyperboloid, dist_pp, foot,
-                    lorentz_cross, signed_dist)
-from .polygon import ConvexPolygon, make_polygon, side_line, side_lengths
+from .hcore import HPoint, angle_at, dist_pp, lorentz_cross
+from .polygon import (_MINK_DIAG, ConvexPolygon, make_polygon, side_lengths,
+                      unit_side_normals)
 from .width import diameter, thickness
 
 REDUCED_TOL = 1e-9
 SOLVER_RESIDUAL_TOL = 1e-10
-SOLVER_FD_STEP = 1e-7
 SOLVER_MAX_ITERATIONS = 200
 
 
 def opposite_side(i: int, n: int) -> tuple[int, int]:
     """Endpoint indices of the side opposite vertex i of an odd n-gon.
 
-    Returns (i + (n-1)/2, i + (n+1)/2) modulo n.  Indices are 0-based.
+    Returns (i + (n-1)/2, i + (n+1)/2) modulo n.  Indices are 0-based; an
+    index array gives two arrays.
     """
     if n < 3 or n % 2 == 0:
         raise EvenGon(f"opposite side requires an odd n >= 3, got n = {n}")
@@ -61,6 +64,17 @@ class ReducednessReport:
     mean_distance: float
 
 
+def _opposite_values(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B(v_i, u_i) for every vertex row v_i of an odd cycle, with the normals u_i.
+
+    u_i is the unit normal of the side opposite vertex i, from row i + (n-1)/2
+    to row i + (n+1)/2, so asinh(B(v_i, u_i)) is the signed distance from
+    v_i to that side line.
+    """
+    u = np.roll(unit_side_normals(pts), -((len(pts) - 1) // 2), axis=0)
+    return (pts * u) @ _MINK_DIAG, u
+
+
 def check_ordinary_reduced(V: ConvexPolygon, tol: float = REDUCED_TOL) -> ReducednessReport:
     """Test the ordinary-reducedness criterion vertex by vertex.
 
@@ -72,27 +86,25 @@ def check_ordinary_reduced(V: ConvexPolygon, tol: float = REDUCED_TOL) -> Reduce
     n = V.n
     if n % 2 == 0:
         raise EvenGon(f"ordinary reducedness is defined for odd-gons, got n = {n}")
-    records = []
-    for i in range(n):
-        a_idx, b_idx = opposite_side(i, n)
-        L = side_line(V, a_idx)
-        p = foot(V.vertex(i), L)
-        d = abs(signed_dist(V.vertex(i), L))
-        ka = V.klein[a_idx]
-        kb = V.klein[b_idx]
-        kp = np.array([p.x / p.t, p.y / p.t])
-        edge = kb - ka
-        lam = float(np.dot(kp - ka, edge) / np.dot(edge, edge))
-        margin = min(lam, 1.0 - lam)
-        records.append(VertexProjection(
-            index=i, opposite_side=(a_idx, b_idx), foot=p, distance=d,
-            foot_interior=margin >= tol, interior_margin=margin))
-    dists = [r.distance for r in records]
-    spread = max(dists) - min(dists)
-    verdict = all(r.foot_interior for r in records) and spread <= tol
+    s, u = _opposite_values(V.vertex_matrix)
+    dists = np.abs(np.arcsinh(s))
+    # The projection v - B(v, u) u is a positive multiple of the foot.
+    feet = V.vertex_matrix - s[:, None] * u
+    feet /= np.sqrt(feet[:, 2] ** 2 - feet[:, 0] ** 2 - feet[:, 1] ** 2)[:, None]
+    ia, ib = opposite_side(np.arange(n), n)
+    k = V.klein
+    edge = k[ib] - k[ia]
+    lam = np.sum((feet[:, :2] / feet[:, 2:] - k[ia]) * edge, axis=1) / np.sum(edge * edge, axis=1)
+    margins = np.minimum(lam, 1.0 - lam)
+    records = tuple(VertexProjection(
+        index=i, opposite_side=(int(ia[i]), int(ib[i])), foot=HPoint.from_vec(feet[i]),
+        distance=float(dists[i]), foot_interior=bool(margins[i] >= tol),
+        interior_margin=float(margins[i])) for i in range(n))
+    spread = float(dists.max() - dists.min())
+    verdict = bool(np.all(margins >= tol)) and spread <= tol
     return ReducednessReport(
-        records=tuple(records), verdict=verdict,
-        max_distance_spread=spread, mean_distance=sum(dists) / n)
+        records=records, verdict=verdict,
+        max_distance_spread=spread, mean_distance=float(dists.mean()))
 
 
 def regular_ngon(n: int, R: float) -> ConvexPolygon:
@@ -150,32 +162,50 @@ def regular_ngon_with_thickness(n: int, delta: float,
             f"regular {n}-gon is strictly convex in floating point") from exc
 
 
-def _residuals(x: np.ndarray, n: int, delta: float,
-               gauge_anchor: np.ndarray, gauge_dir: np.ndarray) -> np.ndarray | None:
-    """Distance residuals plus the three gauge equations, or None off-chart."""
-    k = x.reshape(n, 2)
-    r2 = k[:, 0] ** 2 + k[:, 1] ** 2
-    if np.any(r2 >= 1.0 - 1e-12):
-        return None
-    d = np.sqrt(1.0 - r2)
-    pts = np.column_stack([k[:, 0] / d, k[:, 1] / d, 1.0 / d])
+def _lift(x: np.ndarray) -> np.ndarray:
+    """Hyperboloid rows (x, y, sqrt(1 + x^2 + y^2)) of flat (x, y) coordinates."""
+    xy = x.reshape(-1, 2)
+    return np.column_stack([xy, np.sqrt(1.0 + xy[:, 0] ** 2 + xy[:, 1] ** 2)])
 
-    half = (n - 1) // 2
-    a = np.roll(pts, -half, axis=0)
-    b = np.roll(pts, -(half + 1), axis=0)
+
+def _system(x: np.ndarray, delta: float, gauge_anchor: np.ndarray,
+            gauge_dir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the solver and their exact Jacobian in the 2n coordinates x.
+
+    x holds the (x, y) hyperboloid coordinates of the vertices.  Residual i
+    is the distance from v_i to the line through the ends a, b of its
+    opposite side minus delta, where B(v_i, u_i) = det(v_i, a, b) / N with N
+    the Lorentz norm of lorentz_cross(a, b).  On the hyperboloid
+    N^2 = B(a, b)^2 - 1, so the gradients in v_i, a and b are cross products
+    plus a multiple of J b or J a (J = diag(1, 1, -1)), chained into x, y
+    through dt/dx = x/t and dt/dy = y/t.  Three gauge equations follow:
+    vertex 0 stays at gauge_anchor and the first edge stays parallel to
+    gauge_dir in (x, y).
+    """
+    v = _lift(x)
+    n = len(v)
+    f, u = _opposite_values(v)
+    e = v[1, :2] - v[0, :2]
+    r = np.concatenate([np.abs(np.arcsinh(f)) - delta, v[0, :2] - gauge_anchor,
+                        [e[0] * gauge_dir[1] - e[1] * gauge_dir[0]]])
+
+    rows = np.arange(n)
+    ia, ib = opposite_side(rows, n)
+    a, b = v[ia], v[ib]
     w = lorentz_cross(a, b)
-    norm_sq = w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 2] ** 2
-    if np.any(norm_sq <= 0.0):
-        return None
-    w = w / np.sqrt(norm_sq)[:, None]
-    bform = (pts[:, 0] * w[:, 0] + pts[:, 1] * w[:, 1] - pts[:, 2] * w[:, 2])
-    res = np.abs(np.arcsinh(bform)) - delta
-
-    e = k[1] - k[0]
-    gauge = np.array([k[0, 0] - gauge_anchor[0],
-                      k[0, 1] - gauge_anchor[1],
-                      e[0] * gauge_dir[1] - e[1] * gauge_dir[0]])
-    return np.concatenate([res, gauge])
+    N = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 2] ** 2)[:, None]
+    c = (f * ((a * b) @ _MINK_DIAG))[:, None] / N ** 2
+    # lorentz_cross(p, q) * J is the Euclidean cross product of p and q.
+    grads = ((rows, u), (ia, lorentz_cross(b, v) / N - c * b),
+             (ib, lorentz_cross(v, a) / N - c * a))
+    scale = (np.sign(f) / np.sqrt(1.0 + f * f))[:, None]  # d|asinh f| / df
+    J = np.zeros((n + 3, n, 2))
+    for idx, g in grads:
+        g = g * _MINK_DIAG
+        J[rows, idx] = scale * (g[:, :2] + g[:, 2:] * v[idx, :2] / v[idx, 2:])
+    J[n, 0, 0] = J[n + 1, 0, 1] = 1.0
+    J[n + 2, :2] = [[-gauge_dir[1], gauge_dir[0]], [gauge_dir[1], -gauge_dir[0]]]
+    return r, J.reshape(n + 3, 2 * n)
 
 
 def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
@@ -183,13 +213,15 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
                            residual_tol: float = SOLVER_RESIDUAL_TOL) -> ConvexPolygon:
     """Solve for an ordinary reduced odd-gon of common distance delta.
 
-    Damped least-squares iteration on the 2n Klein vertex coordinates,
-    minimizing the per-vertex residuals (distance to the opposite side line
-    minus delta).  Three gauge equations pin vertex 0 and the direction of
-    the first edge to the seed's frame, which removes the isometry group; a
-    seed already in the family is returned unchanged.  Steps are damped by
-    backtracking halving until the residual norm decreases, with the Jacobian
-    taken by central finite differences.
+    Damped least-squares iteration on the (x, y) hyperboloid coordinates of
+    the n vertices, with t = sqrt(1 + x^2 + y^2).  These cover the whole
+    plane, so no iterate can leave the chart.  The residuals are the
+    per-vertex distances to the opposite side line minus delta, with the
+    exact Jacobian of ``_system``.  Three gauge equations pin vertex 0 and
+    the direction of the first edge to the seed's frame, which removes the
+    isometry group; a seed already in the family is returned unchanged up to
+    the rounding of t.  Steps are damped by backtracking halving until the
+    residual norm decreases.
     """
     n = seed.n
     if n % 2 == 0:
@@ -197,58 +229,32 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
     if not (delta > 0.0) or not math.isfinite(delta):
         raise GeometryError(f"target distance must be positive, got {delta}")
 
-    x = seed.klein.reshape(-1).copy()
-    anchor = seed.klein[0].copy()
-    d0 = seed.klein[1] - seed.klein[0]
+    x = seed.vertex_matrix[:, :2].reshape(-1).copy()
+    anchor = x[:2].copy()
+    d0 = x[2:4] - x[:2]
     gauge_dir = d0 / np.hypot(d0[0], d0[1])
+    r, J = _system(x, delta, anchor, gauge_dir)
 
-    def res(xv: np.ndarray) -> np.ndarray | None:
-        return _residuals(xv, n, delta, anchor, gauge_dir)
-
-    r = res(x)
-    if r is None:
-        raise GeometryError("seed vertices are not inside the Klein disk")
-
-    h = SOLVER_FD_STEP
     for _ in range(max_iterations):
         if float(np.max(np.abs(r))) <= residual_tol:
             break
-        m = x.size
-        J = np.empty((r.size, m))
-        for kcol in range(m):
-            xp = x.copy()
-            xp[kcol] += h
-            xm = x.copy()
-            xm[kcol] -= h
-            rp, rm = res(xp), res(xm)
-            if rp is None or rm is None:
-                raise NoConvergence("iterate drifted to the Klein disk boundary")
-            J[:, kcol] = (rp - rm) / (2.0 * h)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-
         base = float(np.dot(r, r))
         alpha = 1.0
-        accepted = False
         while alpha >= 2.0 ** -30:
-            rt = res(x + alpha * step)
-            if rt is not None and float(np.dot(rt, rt)) < base:
-                x = x + alpha * step
-                r = rt
-                accepted = True
+            rt, Jt = _system(x + alpha * step, delta, anchor, gauge_dir)
+            if float(np.dot(rt, rt)) < base:
+                x, r, J = x + alpha * step, rt, Jt
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             raise NoConvergence("backtracking line search stalled")
     else:
         raise NoConvergence(
             f"residual {float(np.max(np.abs(r))):.3e} after {max_iterations} iterations")
 
-    if float(np.max(np.abs(r))) > residual_tol:
-        raise NoConvergence("did not reach the residual target")
-
-    k = x.reshape(n, 2)
     try:
-        P = make_polygon([chart_to_hyperboloid(px, py, "klein") for px, py in k])
+        P = make_polygon(HPoint.from_vec(p) for p in _lift(x))
     except NonConvex as exc:
         raise LeftFamily(f"solution lost convexity: {exc}") from exc
     report = check_ordinary_reduced(P, tol=REDUCED_TOL)

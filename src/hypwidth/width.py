@@ -226,16 +226,11 @@ def thickness(V: ConvexPolygon) -> ThicknessReport:
 
 def diameter(V: ConvexPolygon) -> tuple[float, tuple[int, int]]:
     """Maximum vertex distance with a witnessing pair (lowest index pair wins ties)."""
-    m = V.vertex_matrix
-    cosh = -(V.mink_rows @ m.T)
-    best = -math.inf
-    pair = (0, 1)
-    for i in range(V.n - 1):
-        for j in range(i + 1, V.n):
-            if cosh[i, j] > best:
-                best = cosh[i, j]
-                pair = (i, j)
-    return math.acosh(max(best, 1.0)), pair
+    cosh = -(V.mink_rows @ V.vertex_matrix.T)
+    # Entries above the diagonal are cosh of distances, about 1 or more, so the
+    # zeros below never win; argmax keeps the first maximum in row-major order.
+    i, j = divmod(int(np.argmax(np.triu(cosh, 1))), V.n)
+    return math.acosh(max(float(cosh[i, j]), 1.0)), (i, j)
 
 
 def diameter_via_width(V: ConvexPolygon) -> float:

@@ -3,15 +3,16 @@
 These deliberately avoid the library's own search strategies: thickness is
 re-derived by dense enumeration over the supporting family and by evaluating
 every pairwise crossing inside each pencil, the smallest enclosing disk by
-exhaustive pair/triple candidate construction, and the largest inscribed
-disk by exhaustive side-triple construction.
+exhaustive pair/triple candidate construction, the largest inscribed disk by
+exhaustive side-triple construction, the diameter by a loop over vertex
+pairs, and the ordinary-reducedness criterion one vertex at a time.
 """
 
 import math
 
 import numpy as np
 
-from hypwidth.hcore import dist_pp, mink, signed_dist, unit_timelike
+from hypwidth.hcore import dist_pp, foot, mink, signed_dist, unit_timelike
 from hypwidth.polygon import ConvexPolygon, side_line
 from hypwidth.width import pencil_line, width_line
 
@@ -117,3 +118,38 @@ def oracle_indisk(V: ConvexPolygon) -> float:
                 if abs(signed_dist(c, lines[i]) - r) < 1e-9:
                     best = max(best, r)
     return best
+
+
+def oracle_diameter(V: ConvexPolygon) -> tuple[float, tuple[int, int]]:
+    """Largest vertex distance by a loop over pairs; the lowest pair wins ties."""
+    cosh = -(V.mink_rows @ V.vertex_matrix.T)
+    best = -math.inf
+    pair = (0, 1)
+    for i in range(V.n - 1):
+        for j in range(i + 1, V.n):
+            if cosh[i, j] > best:
+                best = cosh[i, j]
+                pair = (i, j)
+    return math.acosh(max(best, 1.0)), pair
+
+
+def oracle_check_ordinary_reduced(V: ConvexPolygon, tol: float = 1e-9):
+    """Ordinary-reducedness criterion with an HLine and a foot per vertex.
+
+    Returns the verdict and, per vertex, the distance to the opposite side
+    line, the foot and its Klein-chart barycentric margin inside the side.
+    """
+    n = V.n
+    dists, feet, margins = [], [], []
+    for i in range(n):
+        a_idx, b_idx = (i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n
+        L = side_line(V, a_idx)
+        p = foot(V.vertex(i), L)
+        ka, kb = V.klein[a_idx], V.klein[b_idx]
+        edge = kb - ka
+        lam = float(np.dot(np.array([p.x / p.t, p.y / p.t]) - ka, edge) / np.dot(edge, edge))
+        dists.append(abs(signed_dist(V.vertex(i), L)))
+        feet.append(p)
+        margins.append(min(lam, 1.0 - lam))
+    verdict = min(margins) >= tol and max(dists) - min(dists) <= tol
+    return verdict, dists, feet, margins

@@ -1,7 +1,9 @@
-"""Smoke test of the benchmark: one short run of the measure workload.
+"""Smoke tests of the benchmark: one short run of the measure and reduce workloads.
 
-It checks that bench/run.py still runs end to end and that every output
-passes the benchmark's own correctness checks.  It asserts no timing.
+They check that bench/run.py still runs end to end and that every output
+passes the benchmark's own correctness checks: on reduce, every solved
+polygon passes the criterion, a 1e-8 halving gap and the diameter bound.
+They assert no timing.
 """
 
 import json
@@ -12,12 +14,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_measure_workload_runs_clean():
+def _run_clean(workload: str) -> None:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "measure", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["correct"] is True
     assert report["failed"] == 0
+
+
+def test_measure_workload_runs_clean():
+    _run_clean("measure")
+
+
+def test_reduce_workload_runs_clean():
+    _run_clean("reduce")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hypwidth.corpus import perturbed_polygon, random_nonequilateral_triangle
@@ -7,12 +8,19 @@ from hypwidth.errors import (BracketFailure, EvenGon, GeometryError,
                              NotOrdinaryReduced)
 from hypwidth.hcore import HPoint, dist_pp
 from hypwidth.polygon import make_polygon, perimeter, side_lengths
-from hypwidth.reduced import (check_ordinary_reduced, diameter_bound,
+from hypwidth.reduced import (_system, check_ordinary_reduced, diameter_bound,
                               diameter_within_bound, opposite_side,
                               perimeter_halving, regular_apothem, regular_ngon,
                               regular_ngon_with_thickness,
                               solve_ordinary_reduced)
 from hypwidth.width import diameter, thickness
+from polygon_families import jittered_circle_polygon
+from test_acceptance_oracles import oracle_check_ordinary_reduced
+
+
+def circumradius(V):
+    v = V.vertex(0)
+    return math.asinh(math.hypot(v.x, v.y))
 
 
 class TestOppositeSide:
@@ -58,6 +66,30 @@ class TestCheckOrdinaryReduced:
             HPoint(0.0, -math.sinh(1.0), math.cosh(1.0))])
         with pytest.raises(EvenGon):
             check_ordinary_reduced(square)
+
+    def test_matches_per_vertex_oracle(self):
+        rng = np.random.default_rng(31)
+        polys = [jittered_circle_polygon(rng, int(n), rng.uniform(0.3, 3.0),
+                                         rng.uniform(0.0, 4.0))
+                 for n in rng.choice(np.arange(3, 60, 2), size=80)]
+        polys += [regular_ngon_with_thickness(n, delta)
+                  for n in (3, 7, 31) for delta in (0.01, 1.0, 6.0)]
+        for n, delta in ((5, 1.0), (9, 0.5), (15, 6.0)):
+            reg = regular_ngon_with_thickness(n, delta)
+            polys += [solve_ordinary_reduced(perturbed_polygon(reg, rng), delta)
+                      for _ in range(3)]
+        verdicts = set()
+        for V in polys:
+            rep = check_ordinary_reduced(V)
+            verdict, dists, feet, margins = oracle_check_ordinary_reduced(V)
+            assert rep.verdict == verdict
+            verdicts.add(verdict)
+            for rec, d, p, m in zip(rep.records, dists, feet, margins):
+                assert rec.distance == pytest.approx(d, rel=1e-14, abs=1e-14)
+                assert rec.interior_margin == pytest.approx(m, rel=1e-14, abs=1e-14)
+                assert rec.foot_interior == (m >= 1e-9)
+                assert np.allclose(rec.foot.vec, p.vec, rtol=1e-13, atol=1e-14)
+        assert verdicts == {True, False}
 
 
 class TestRegularNgon:
@@ -113,8 +145,7 @@ class TestRegularNgonWithThickness:
         for n in range(3, 52, 2):
             for delta in (1e-3, 0.01, 1.0, 6.0, 10.0):
                 V = regular_ngon_with_thickness(n, delta)
-                v = V.vertex(0)
-                R = math.asinh(math.hypot(v.x, v.y))
+                R = circumradius(V)
                 assert R + regular_apothem(n, R) == pytest.approx(delta, rel=1e-12)
                 assert thickness(V).thickness == pytest.approx(delta, abs=1e-9)
 
@@ -125,7 +156,7 @@ class TestSolve:
         S = solve_ordinary_reduced(V, 1.0)
         worst = max(max(abs(a.x - b.x), abs(a.y - b.y), abs(a.t - b.t))
                     for a, b in zip(V.vertices, S.vertices))
-        assert worst <= 1e-15  # no iteration happens, only the chart round trip
+        assert worst <= 1e-15  # no iteration happens, only t is recomputed
 
     def test_perturbed_pentagon_nonregular(self, rng):
         V = regular_ngon_with_thickness(5, 1.0)
@@ -152,6 +183,48 @@ class TestSolve:
             HPoint(0.0, -math.sinh(1.0), math.cosh(1.0))])
         with pytest.raises(EvenGon):
             solve_ordinary_reduced(square, 1.0)
+
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(3)
+        cases = [(perturbed_polygon(regular_ngon_with_thickness(n, delta), rng), delta)
+                 for n in (3, 5, 15, 31) for delta in (0.01, 1.0, 6.0)]
+        cases += [(jittered_circle_polygon(rng, n, 1.0, 2.0), 1.0) for n in (3, 5, 15, 31)]
+        for V, delta in cases:
+            x = V.vertex_matrix[:, :2].reshape(-1).copy()
+            anchor = x[:2] + 0.01
+            gauge_dir = np.array([0.6, 0.8])
+            _, J = _system(x, delta, anchor, gauge_dir)
+            # Steps scale with the polygon, so truncation stays below rounding.
+            h = 1e-6 * min(1.0, delta)
+            fd = np.empty_like(J)
+            for k in range(x.size):
+                step = np.zeros_like(x)
+                step[k] = h
+                fd[:, k] = (_system(x + step, delta, anchor, gauge_dir)[0]
+                            - _system(x - step, delta, anchor, gauge_dir)[0]) / (2.0 * h)
+            assert np.max(np.abs(J - fd)) <= 1e-6, (V.n, delta)
+
+    @pytest.mark.parametrize("n", [5, 15, 31])
+    def test_delta_six_solves(self, n):
+        reg = regular_ngon_with_thickness(n, 6.0)
+        S = solve_ordinary_reduced(perturbed_polygon(reg, np.random.default_rng(0)), 6.0)
+        assert check_ordinary_reduced(S).verdict
+        assert max(abs(r.half_perimeter_gap) for r in perimeter_halving(S).records) <= 1e-8
+        assert diameter_within_bound(S)
+
+
+class TestPerturbedPolygon:
+    def test_delta_six_vertices_stay_near_circumradius(self):
+        radial = 0.03
+        rng = np.random.default_rng(0)
+        for n in (5, 15, 31):
+            reg = regular_ngon_with_thickness(n, 6.0)
+            R = circumradius(reg)
+            for _ in range(10):
+                seed = perturbed_polygon(reg, rng, radial=radial)
+                for v in seed.vertices:
+                    rho = math.asinh(math.hypot(v.x, v.y))
+                    assert (1.0 - radial) * R - 1e-9 <= rho <= (1.0 + radial) * R + 1e-9
 
 
 class TestPerimeterHalving:

@@ -13,7 +13,7 @@ from hypwidth.reduced import regular_apothem, regular_ngon
 from hypwidth.width import (diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
 from polygon_families import jittered_circle_polygon, squashed_hull
-from test_acceptance_oracles import brute_thickness, dense_thickness
+from test_acceptance_oracles import brute_thickness, dense_thickness, oracle_diameter
 
 
 def altitude(R, n):
@@ -188,6 +188,18 @@ class TestDiameter:
         V = rhombus(1.0, 1.0)  # both diagonals give the exact same distance
         _, pair = diameter(V)
         assert pair == (0, 2)
+
+    def test_matches_loop_oracle(self, rng):
+        # Regular polygons tie exactly in many pairs, which checks the tie rule.
+        polys = [regular_ngon(n, R) for n in range(3, 52, 2) for R in (0.3, 1.0, 4.0)]
+        polys += [rhombus(1.0, 1.0), rhombus(0.7, 1.3)]
+        polys += [jittered_circle_polygon(rng, n, 1.2, 3.0) for n in (4, 9, 40, 101)]
+        polys += [squashed_hull(rng) for _ in range(10)]
+        for V in polys:
+            d, pair = diameter(V)
+            d_ref, pair_ref = oracle_diameter(V)
+            assert pair == pair_ref
+            assert d.hex() == d_ref.hex()
 
     def test_diameter_via_width_matches(self, rng):
         for V in (regular_ngon(3, 1.0), regular_ngon(5, 1.0)):
