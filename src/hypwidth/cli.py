@@ -26,6 +26,12 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# Pass margins of ``verify``: chord, half-perimeter and diameter-via-width
+# gaps; beta - alpha; the gap between a side width and its oracle.
+VERIFY_GAP_TOL = 1e-8
+VERIFY_ANGLE_TOL = 1e-9
+VERIFY_WIDTH_ORACLE_TOL = 1e-7
+
 
 def _read_polygon(path: str) -> ConvexPolygon:
     if path == "-":
@@ -146,8 +152,9 @@ def _verify_one(theorem: str, name: str, V: ConvexPolygon) -> dict:
         beta_excess = max(r.beta - r.alpha for r in rep.records)
         out.update(chord_gap=chord_gap, half_perimeter_gap=halving_gap,
                    beta_minus_alpha_max=beta_excess,
-                   passed=bool(chord_gap <= 1e-8 and halving_gap <= 1e-8
-                               and beta_excess <= 1e-9))
+                   passed=bool(chord_gap <= VERIFY_GAP_TOL
+                               and halving_gap <= VERIFY_GAP_TOL
+                               and beta_excess <= VERIFY_ANGLE_TOL))
     elif theorem == "3":
         d, _ = width.diameter(V)
         t = width.thickness(V).thickness
@@ -163,7 +170,8 @@ def _verify_one(theorem: str, name: str, V: ConvexPolygon) -> dict:
         dvw = width.diameter_via_width(V)
         out.update(width_oracle_max_gap=max(gaps),
                    diameter_via_width_gap=abs(dvw - d),
-                   passed=bool(max(gaps) <= 1e-7 and abs(dvw - d) <= 1e-8))
+                   passed=bool(max(gaps) <= VERIFY_WIDTH_ORACLE_TOL
+                               and abs(dvw - d) <= VERIFY_GAP_TOL))
     return out
 
 

@@ -55,9 +55,8 @@ def mink(p, q) -> float:
     return float(a[0] * b[0] + a[1] * b[1] - a[2] * b[2])
 
 
-def _norm_tol(v: np.ndarray) -> float:
-    scale = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    return max(UNIT_NORM_TOL, 64.0 * _EPS * scale)
+def _norm_tol(x: float, y: float, t: float) -> float:
+    return max(UNIT_NORM_TOL, 64.0 * _EPS * (x * x + y * y + t * t))
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,8 @@ class HPoint:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "t", float(self.t))
-        v = np.array([self.x, self.y, self.t])
         err = abs(self.x * self.x + self.y * self.y - self.t * self.t + 1.0)
-        if err > _norm_tol(v):
+        if err > _norm_tol(self.x, self.y, self.t):
             raise GeometryError(
                 f"point not on the unit hyperboloid: B(p,p)+1 = {err:.3e}")
         if self.t <= 0.0:
@@ -108,9 +106,8 @@ class HLine:
         object.__setattr__(self, "ux", float(self.ux))
         object.__setattr__(self, "uy", float(self.uy))
         object.__setattr__(self, "ut", float(self.ut))
-        v = np.array([self.ux, self.uy, self.ut])
         err = abs(self.ux * self.ux + self.uy * self.uy - self.ut * self.ut - 1.0)
-        if err > _norm_tol(v):
+        if err > _norm_tol(self.ux, self.uy, self.ut):
             raise GeometryError(
                 f"normal is not unit spacelike: B(u,u)-1 = {err:.3e}")
 
@@ -182,26 +179,28 @@ def lorentz_cross(a, b) -> np.ndarray:
                      a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1]], axis=-1)
 
 
-def dist_pp(p, q) -> float:
+def dist_pp(p, q):
     """Geodesic distance arccosh(-B(p, q)) between two points.
 
     Evaluated through the chord form 2*asinh(sqrt(B(q-p, q-p)/2)), which is
     exact for nearby points where -B(p,q) itself rounds to 1.  Roundoff that
     pushes the chord value slightly negative is absorbed up to a
     scale-relative guard; anything worse means the inputs are off the
-    hyperboloid and raises.
+    hyperboloid and raises.  Stacked (..., 3) arrays give an array of one
+    distance per row, and raise if any row is off the hyperboloid.
     """
-    a = _vec3(p)
-    b = _vec3(q)
+    a = _vec3(p, stacked=True)
+    b = _vec3(q, stacked=True)
     d = b - a
-    x = 0.5 * (d[0] * d[0] + d[1] * d[1] - d[2] * d[2])
-    if x < 0.0:
-        guard = max(DIST_CLAMP_TOL, 64.0 * _EPS * abs(a[2] * b[2]))
-        if x < -guard:
+    x = 0.5 * (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] - d[..., 2] * d[..., 2])
+    if np.any(x < 0.0):
+        guard = np.maximum(DIST_CLAMP_TOL, 64.0 * _EPS * np.abs(a[..., 2] * b[..., 2]))
+        if np.any(x < -guard):
             raise GeometryError(
-                f"inputs off the hyperboloid: cosh(d)-1 = {x:.3e}")
-        x = 0.0
-    return 2.0 * math.asinh(math.sqrt(0.5 * x))
+                f"inputs off the hyperboloid: cosh(d)-1 = {float(np.min(x)):.3e}")
+        x = np.maximum(x, 0.0)
+    dist = 2.0 * np.arcsinh(np.sqrt(0.5 * x))
+    return float(dist) if np.ndim(dist) == 0 else dist
 
 
 def line_through(p, q) -> HLine:
@@ -240,29 +239,31 @@ def line_relation(L1: HLine, L2: HLine) -> LineRelation:
     return LineRelation(ASYMPTOTIC, 0.0)
 
 
-def _cosh_minus_one(d: float) -> float:
-    s = math.sinh(0.5 * d)
+def _cosh_minus_one(d):
+    s = np.sinh(0.5 * d)
     return 2.0 * s * s
 
 
-def angle_at(a, b, c) -> float:
+def angle_at(a, b, c):
     """Interior angle at b of the geodesic triangle a, b, c.
 
     Uses the hyperbolic law of cosines for sides, rearranged through
     cosh(x) - 1 terms so that the angle stays accurate for very small
-    triangles.
+    triangles.  Stacked (..., 3) arrays give an array of one angle per row,
+    and raise if any row has b coincident with a or c.
     """
     la = dist_pp(b, a)
     lc = dist_pp(b, c)
     lb = dist_pp(a, c)
-    if la < 1e-12 or lc < 1e-12:
+    if np.any(np.minimum(la, lc) < 1e-12):
         raise GeometryError("angle undefined for coincident points")
     ha = _cosh_minus_one(la)
     hc = _cosh_minus_one(lc)
     hb = _cosh_minus_one(lb)
     num = ha * hc + ha + hc - hb
-    den = math.sinh(la) * math.sinh(lc)
-    return math.acos(max(-1.0, min(1.0, num / den)))
+    den = np.sinh(la) * np.sinh(lc)
+    angle = np.arccos(np.clip(num / den, -1.0, 1.0))
+    return float(angle) if np.ndim(angle) == 0 else angle
 
 
 def geodesic_point(p, q, s: float) -> HPoint:

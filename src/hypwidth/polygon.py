@@ -50,7 +50,7 @@ class ConvexPolygon:
 
     @cached_property
     def vertex_matrix(self) -> np.ndarray:
-        m = np.array([v.vec for v in self.vertices])
+        m = np.array([(v.x, v.y, v.t) for v in self.vertices])
         m.flags.writeable = False
         return m
 
@@ -71,20 +71,23 @@ class ConvexPolygon:
     @cached_property
     def side_normals(self) -> np.ndarray:
         """Unit normals of the side lines, oriented interior-positive."""
-        w = unit_side_normals(self.vertex_matrix)
+        m = self.vertex_matrix
+        w, _ = line_normals(m, np.roll(m, -1, axis=0))
         w.flags.writeable = False
         return w
 
 
-def unit_side_normals(m: np.ndarray) -> np.ndarray:
-    """Unit normals of the sides from row j to row j+1 of a vertex cycle.
+def line_normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals of the lines from row a_j to row b_j, and their scales.
 
-    The rows are hyperboloid points.  The Lorentz cross product of
-    consecutive vertices already points inward for a positively oriented
-    cycle, because B(lorentz_cross(a, b), c) equals det(a, b, c).
+    The rows are hyperboloid points.  The normal is lorentz_cross(a, b) / N
+    with N its Lorentz norm, returned as a column.  It points to the interior
+    of a positively oriented cycle whose side runs from a to b, because
+    B(lorentz_cross(a, b), c) equals det(a, b, c).
     """
-    w = lorentz_cross(m, np.roll(m, -1, axis=0))
-    return w / np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 2] ** 2)[:, None]
+    w = lorentz_cross(a, b)
+    N = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 2] ** 2)[:, None]
+    return w / N, N
 
 
 def _turn_crosses(k: np.ndarray) -> np.ndarray:
@@ -103,12 +106,13 @@ def make_polygon(points: Iterable[HPoint]) -> ConvexPolygon:
     pts = tuple(points)
     if len(pts) < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {len(pts)}")
-    k = np.array([(p.x / p.t, p.y / p.t) for p in pts])
+    P = ConvexPolygon(pts)
+    k = P.klein
 
     area2 = float(np.sum(k[:, 0] * np.roll(k[:, 1], -1) - np.roll(k[:, 0], -1) * k[:, 1]))
     if area2 < 0.0:
-        pts = pts[::-1]
-        k = k[::-1]
+        P = ConvexPolygon(pts[::-1])
+        k = P.klein
 
     crosses = _turn_crosses(k)
     if np.any(crosses <= CONVEXITY_TOL):
@@ -124,19 +128,18 @@ def make_polygon(points: Iterable[HPoint]) -> ConvexPolygon:
     if abs(float(np.sum(turns)) - 2.0 * math.pi) > 1e-6:
         raise NonConvex("vertex cycle winds around more than once")
 
-    return ConvexPolygon(pts)
+    return P
 
 
 def perimeter(V: ConvexPolygon) -> float:
     """Sum of the side lengths."""
-    return sum(dist_pp(V.vertex(i), V.vertex(i + 1)) for i in range(V.n))
+    return sum(side_lengths(V))
 
 
 def area(V: ConvexPolygon) -> float:
     """Polygon area by angle defect: (n - 2)*pi minus the interior angles."""
-    total = sum(
-        angle_at(V.vertex(i - 1), V.vertex(i), V.vertex(i + 1)) for i in range(V.n)
-    )
+    m = V.vertex_matrix
+    total = sum(angle_at(np.roll(m, 1, axis=0), m, np.roll(m, -1, axis=0)).tolist())
     return (V.n - 2) * math.pi - total
 
 
@@ -156,4 +159,5 @@ def contains(V: ConvexPolygon, p: HPoint) -> bool:
 
 
 def side_lengths(V: ConvexPolygon) -> list[float]:
-    return [dist_pp(V.vertex(i), V.vertex(i + 1)) for i in range(V.n)]
+    m = V.vertex_matrix
+    return dist_pp(m, np.roll(m, -1, axis=0)).tolist()

@@ -5,11 +5,14 @@ relative interior of the line through its opposite side and all those
 vertex-to-line distances share one common value, which then equals the
 polygon thickness.  This module checks that criterion, builds regular
 odd-gons (by circumradius or by target thickness), solves for non-regular
-members of the family with a damped least-squares iteration on the (x, y)
+members of the family with a damped Gauss-Newton iteration on the (x, y)
 hyperboloid coordinates of the vertices with an exact Jacobian, and
 evaluates the boundary-halving and diameter-bound properties the family
-satisfies.  The check and the solver share one vectorised computation of
-every vertex's distance to its opposite side line.
+satisfies.  Each solver step is the minimum-norm solution of the linearised
+system, from a QR factorisation of the transposed Jacobian.  The check, the
+solver's final verdict and the boundary halving share one vectorised
+criterion kernel, built on one computation of every vertex's distance to
+its opposite side line.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ import numpy as np
 from .errors import (BracketFailure, EvenGon, GeometryError, LeftFamily,
                      NoConvergence, NonConvex, NotOrdinaryReduced)
 from .hcore import HPoint, angle_at, dist_pp, lorentz_cross
-from .polygon import (_MINK_DIAG, ConvexPolygon, make_polygon, side_lengths,
-                      unit_side_normals)
+from .polygon import _MINK_DIAG, ConvexPolygon, line_normals, make_polygon, side_lengths
 from .width import diameter, thickness
 
 REDUCED_TOL = 1e-9
+# Criterion tolerance that perimeter_halving requires of its input.
+HALVING_TOL = 1e-8
 SOLVER_RESIDUAL_TOL = 1e-10
 SOLVER_MAX_ITERATIONS = 200
 
@@ -64,15 +68,42 @@ class ReducednessReport:
     mean_distance: float
 
 
-def _opposite_values(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """B(v_i, u_i) for every vertex row v_i of an odd cycle, with the normals u_i.
+def _opposite_values(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B(v_i, u_i) for every vertex row v_i of an odd cycle, with u_i and its scale.
 
     u_i is the unit normal of the side opposite vertex i, from row i + (n-1)/2
-    to row i + (n+1)/2, so asinh(B(v_i, u_i)) is the signed distance from
-    v_i to that side line.
+    to row i + (n+1)/2, and the scale is the Lorentz norm of the cross
+    product it was divided by (see ``line_normals``).  asinh(B(v_i, u_i)) is
+    the signed distance from v_i to that side line.
     """
-    u = np.roll(unit_side_normals(pts), -((len(pts) - 1) // 2), axis=0)
-    return (pts * u) @ _MINK_DIAG, u
+    ia, ib = opposite_side(np.arange(len(pts)), len(pts))
+    u, N = line_normals(pts[ia], pts[ib])
+    return (pts * u) @ _MINK_DIAG, u, N
+
+
+def _criterion(V: ConvexPolygon, tol: float):
+    """The ordinary-reducedness criterion of V as arrays.
+
+    Returns the distances d_i from each vertex to its opposite side line, the
+    feet of those perpendiculars as hyperboloid rows, the feet's Klein-chart
+    barycentric margins inside their sides, the spread max d_i - min d_i and
+    the verdict: every margin >= tol and the spread <= tol.
+    """
+    n = V.n
+    if n % 2 == 0:
+        raise EvenGon(f"ordinary reducedness is defined for odd-gons, got n = {n}")
+    s, u, _ = _opposite_values(V.vertex_matrix)
+    dists = np.abs(np.arcsinh(s))
+    # The projection v - B(v, u) u is a positive multiple of the foot.
+    feet = V.vertex_matrix - s[:, None] * u
+    feet /= np.sqrt(feet[:, 2] ** 2 - feet[:, 0] ** 2 - feet[:, 1] ** 2)[:, None]
+    ia, ib = opposite_side(np.arange(n), n)
+    k = V.klein
+    edge = k[ib] - k[ia]
+    lam = np.sum((feet[:, :2] / feet[:, 2:] - k[ia]) * edge, axis=1) / np.sum(edge * edge, axis=1)
+    margins = np.minimum(lam, 1.0 - lam)
+    spread = float(dists.max() - dists.min())
+    return dists, feet, margins, spread, bool(np.all(margins >= tol)) and spread <= tol
 
 
 def check_ordinary_reduced(V: ConvexPolygon, tol: float = REDUCED_TOL) -> ReducednessReport:
@@ -83,25 +114,13 @@ def check_ordinary_reduced(V: ConvexPolygon, tol: float = REDUCED_TOL) -> Reduce
     max d_i - min d_i must stay within tol.  When the verdict holds, the
     common distance equals the polygon thickness.
     """
-    n = V.n
-    if n % 2 == 0:
-        raise EvenGon(f"ordinary reducedness is defined for odd-gons, got n = {n}")
-    s, u = _opposite_values(V.vertex_matrix)
-    dists = np.abs(np.arcsinh(s))
-    # The projection v - B(v, u) u is a positive multiple of the foot.
-    feet = V.vertex_matrix - s[:, None] * u
-    feet /= np.sqrt(feet[:, 2] ** 2 - feet[:, 0] ** 2 - feet[:, 1] ** 2)[:, None]
-    ia, ib = opposite_side(np.arange(n), n)
-    k = V.klein
-    edge = k[ib] - k[ia]
-    lam = np.sum((feet[:, :2] / feet[:, 2:] - k[ia]) * edge, axis=1) / np.sum(edge * edge, axis=1)
-    margins = np.minimum(lam, 1.0 - lam)
+    dists, feet, margins, spread, verdict = _criterion(V, tol)
+    ia, ib = opposite_side(np.arange(V.n), V.n)
     records = tuple(VertexProjection(
-        index=i, opposite_side=(int(ia[i]), int(ib[i])), foot=HPoint.from_vec(feet[i]),
-        distance=float(dists[i]), foot_interior=bool(margins[i] >= tol),
-        interior_margin=float(margins[i])) for i in range(n))
-    spread = float(dists.max() - dists.min())
-    verdict = bool(np.all(margins >= tol)) and spread <= tol
+        index=i, opposite_side=(a, b), foot=HPoint(*p), distance=d,
+        foot_interior=m >= tol, interior_margin=m)
+        for i, (a, b, p, d, m) in enumerate(zip(
+            ia.tolist(), ib.tolist(), feet.tolist(), dists.tolist(), margins.tolist())))
     return ReducednessReport(
         records=records, verdict=verdict,
         max_distance_spread=spread, mean_distance=float(dists.mean()))
@@ -184,7 +203,7 @@ def _system(x: np.ndarray, delta: float, gauge_anchor: np.ndarray,
     """
     v = _lift(x)
     n = len(v)
-    f, u = _opposite_values(v)
+    f, u, N = _opposite_values(v)
     e = v[1, :2] - v[0, :2]
     r = np.concatenate([np.abs(np.arcsinh(f)) - delta, v[0, :2] - gauge_anchor,
                         [e[0] * gauge_dir[1] - e[1] * gauge_dir[0]]])
@@ -192,17 +211,16 @@ def _system(x: np.ndarray, delta: float, gauge_anchor: np.ndarray,
     rows = np.arange(n)
     ia, ib = opposite_side(rows, n)
     a, b = v[ia], v[ib]
-    w = lorentz_cross(a, b)
-    N = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 2] ** 2)[:, None]
     c = (f * ((a * b) @ _MINK_DIAG))[:, None] / N ** 2
     # lorentz_cross(p, q) * J is the Euclidean cross product of p and q.
-    grads = ((rows, u), (ia, lorentz_cross(b, v) / N - c * b),
-             (ib, lorentz_cross(v, a) / N - c * a))
+    # Gradients of B(v_i, u_i) in v_i, a_i and b_i, with the vertex index of each.
+    idx = np.stack([rows, ia, ib])
+    g = np.stack([u, lorentz_cross(b, v) / N - c * b,
+                  lorentz_cross(v, a) / N - c * a]) * _MINK_DIAG
+    p = v[idx]
     scale = (np.sign(f) / np.sqrt(1.0 + f * f))[:, None]  # d|asinh f| / df
     J = np.zeros((n + 3, n, 2))
-    for idx, g in grads:
-        g = g * _MINK_DIAG
-        J[rows, idx] = scale * (g[:, :2] + g[:, 2:] * v[idx, :2] / v[idx, 2:])
+    J[rows, idx] = scale * (g[..., :2] + g[..., 2:] * p[..., :2] / p[..., 2:])
     J[n, 0, 0] = J[n + 1, 0, 1] = 1.0
     J[n + 2, :2] = [[-gauge_dir[1], gauge_dir[0]], [gauge_dir[1], -gauge_dir[0]]]
     return r, J.reshape(n + 3, 2 * n)
@@ -213,15 +231,19 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
                            residual_tol: float = SOLVER_RESIDUAL_TOL) -> ConvexPolygon:
     """Solve for an ordinary reduced odd-gon of common distance delta.
 
-    Damped least-squares iteration on the (x, y) hyperboloid coordinates of
+    Damped Gauss-Newton iteration on the (x, y) hyperboloid coordinates of
     the n vertices, with t = sqrt(1 + x^2 + y^2).  These cover the whole
     plane, so no iterate can leave the chart.  The residuals are the
     per-vertex distances to the opposite side line minus delta, with the
     exact Jacobian of ``_system``.  Three gauge equations pin vertex 0 and
     the direction of the first edge to the seed's frame, which removes the
     isometry group; a seed already in the family is returned unchanged up to
-    the rounding of t.  Steps are damped by backtracking halving until the
-    residual norm decreases.
+    the rounding of t.  Each step is the minimum-norm solution of the
+    linearised system (``_min_norm_step``), damped by backtracking halving
+    until the residual norm decreases.  Raises NoConvergence when the
+    iteration stalls or the Jacobian is rank deficient, and LeftFamily,
+    naming the vertices whose feet left their sides, when the converged
+    polygon is not ordinary reduced.
     """
     n = seed.n
     if n % 2 == 0:
@@ -238,7 +260,7 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
     for _ in range(max_iterations):
         if float(np.max(np.abs(r))) <= residual_tol:
             break
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        step = _min_norm_step(J, r)
         base = float(np.dot(r, r))
         alpha = 1.0
         while alpha >= 2.0 ** -30:
@@ -254,16 +276,29 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
             f"residual {float(np.max(np.abs(r))):.3e} after {max_iterations} iterations")
 
     try:
-        P = make_polygon(HPoint.from_vec(p) for p in _lift(x))
+        P = make_polygon(HPoint(*p) for p in _lift(x).tolist())
     except NonConvex as exc:
         raise LeftFamily(f"solution lost convexity: {exc}") from exc
-    report = check_ordinary_reduced(P, tol=REDUCED_TOL)
-    if not report.verdict:
+    _, _, margins, spread, verdict = _criterion(P, REDUCED_TOL)
+    if not verdict:
         raise LeftFamily(
             "solution violates the ordinary-reducedness criterion "
-            f"(spread {report.max_distance_spread:.3e}, feet interior "
-            f"{[r.foot_interior for r in report.records]})")
+            f"(spread {spread:.3e}, feet outside their sides at vertices "
+            f"{np.flatnonzero(margins < REDUCED_TOL).tolist()})")
     return P
+
+
+def _min_norm_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution s of J s = -r, for J of full row rank.
+
+    With J^T = Q R (reduced QR), s = Q z where R^T z = -r, so s lies in the
+    row space of J.  Raises NoConvergence when R is singular.
+    """
+    try:
+        Q, R = np.linalg.qr(J.T)
+        return Q @ np.linalg.solve(R.T, -r)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Jacobian is rank deficient: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -289,42 +324,41 @@ class HalvingReport:
     records: tuple[HalvingRecord, ...]
 
 
-def perimeter_halving(V: ConvexPolygon, tol: float = 1e-8) -> HalvingReport:
+def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingReport:
     """Boundary chords, perimeter split, and the two angles at each vertex.
 
     For an ordinary reduced odd-gon: the chord from v_i to the foot on side
     (v_i, v_i+1) matches the chord from the foot of v_i to the far endpoint
     of its opposite side, the segment from v_i to its foot halves the
     perimeter, and beta_i <= alpha_i with equality exactly for triangles.
+    Each arc takes its run of (n-1)/2 whole sides as a difference of one
+    cumulative sum of the side lengths.
     """
-    report = check_ordinary_reduced(V, tol=tol)
-    if not report.verdict:
+    _, feet, _, _, verdict = _criterion(V, tol)
+    if not verdict:
         raise NotOrdinaryReduced(
             f"polygon fails the criterion at tolerance {tol:g}")
     n = V.n
     half = (n - 1) // 2
-    feet = [r.foot for r in report.records]
+    m = V.vertex_matrix
+    far = np.roll(m, -(half + 1), axis=0)  # row i is vertex i + (n+1)/2
     lengths = side_lengths(V)
+    # window[i] is the length of the (n-1)/2 sides that follow vertex i.
+    cum = np.concatenate([[0.0], np.cumsum(lengths + lengths)])
+    window = cum[half:half + n] - cum[:n]
 
-    records = []
-    for i in range(n):
-        j = (i + half + 1) % n  # vertex index i + (n+1)/2
-        p_i = feet[i]
-        p_j = feet[j]
-        chord_left = dist_pp(V.vertex(i), p_j)
-        chord_right = dist_pp(p_i, V.vertex(j))
-
-        arc1 = sum(lengths[(i + kk) % n] for kk in range(half))
-        arc1 += dist_pp(V.vertex(i + half), p_i)
-        arc2 = chord_right
-        arc2 += sum(lengths[(i + kk) % n] for kk in range(half + 1, n))
-
-        alpha = angle_at(V.vertex(i + 1), V.vertex(i), p_i)
-        beta = angle_at(p_i, V.vertex(i), V.vertex(j))
-        records.append(HalvingRecord(
-            index=i, chord_left=chord_left, chord_right=chord_right,
-            half_perimeter_gap=arc1 - arc2, alpha=alpha, beta=beta))
-    return HalvingReport(records=tuple(records))
+    chord_left = dist_pp(m, np.roll(feet, -(half + 1), axis=0))
+    chord_right = dist_pp(feet, far)
+    arc1 = window + dist_pp(np.roll(m, -half, axis=0), feet)
+    arc2 = chord_right + np.roll(window, -(half + 1))
+    alpha = angle_at(np.roll(m, -1, axis=0), m, feet)
+    beta = angle_at(feet, m, far)
+    return HalvingReport(records=tuple(
+        HalvingRecord(index=i, chord_left=cl, chord_right=cr, half_perimeter_gap=g,
+                      alpha=a, beta=b)
+        for i, (cl, cr, g, a, b) in enumerate(zip(
+            chord_left.tolist(), chord_right.tolist(), (arc1 - arc2).tolist(),
+            alpha.tolist(), beta.tolist()))))
 
 
 def diameter_bound(delta: float) -> float:

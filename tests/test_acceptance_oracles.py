@@ -5,14 +5,15 @@ re-derived by dense enumeration over the supporting family and by evaluating
 every pairwise crossing inside each pencil, the smallest enclosing disk by
 exhaustive pair/triple candidate construction, the largest inscribed disk by
 exhaustive side-triple construction, the diameter by a loop over vertex
-pairs, and the ordinary-reducedness criterion one vertex at a time.
+pairs, and the ordinary-reducedness criterion and the boundary halving one
+vertex at a time.
 """
 
 import math
 
 import numpy as np
 
-from hypwidth.hcore import dist_pp, foot, mink, signed_dist, unit_timelike
+from hypwidth.hcore import angle_at, dist_pp, foot, mink, signed_dist, unit_timelike
 from hypwidth.polygon import ConvexPolygon, side_line
 from hypwidth.width import pencil_line, width_line
 
@@ -153,3 +154,28 @@ def oracle_check_ordinary_reduced(V: ConvexPolygon, tol: float = 1e-9):
         margins.append(min(lam, 1.0 - lam))
     verdict = min(margins) >= tol and max(dists) - min(dists) <= tol
     return verdict, dists, feet, margins
+
+
+def oracle_perimeter_halving(V: ConvexPolygon):
+    """Boundary chords, half-perimeter gap and the two angles, vertex by vertex.
+
+    Feet come from ``oracle_check_ordinary_reduced``; each arc is a running
+    sum of single side lengths.  Returns one (chord_left, chord_right,
+    half_perimeter_gap, alpha, beta) tuple per vertex.
+    """
+    n = V.n
+    half = (n - 1) // 2
+    _, _, feet, _ = oracle_check_ordinary_reduced(V)
+    lengths = [dist_pp(V.vertex(i), V.vertex(i + 1)) for i in range(n)]
+    out = []
+    for i in range(n):
+        j = (i + half + 1) % n
+        chord_left = dist_pp(V.vertex(i), feet[j])
+        chord_right = dist_pp(feet[i], V.vertex(j))
+        arc1 = sum(lengths[(i + kk) % n] for kk in range(half))
+        arc1 += dist_pp(V.vertex(i + half), feet[i])
+        arc2 = chord_right + sum(lengths[(i + kk) % n] for kk in range(half + 1, n))
+        out.append((chord_left, chord_right, arc1 - arc2,
+                    angle_at(V.vertex(i + 1), V.vertex(i), feet[i]),
+                    angle_at(feet[i], V.vertex(i), V.vertex(j))))
+    return out

@@ -1,4 +1,4 @@
-"""Smoke tests of the benchmark: one short run of the measure and reduce workloads.
+"""Smoke tests of the benchmark: one short run of the measure, reduce and scan workloads.
 
 They check that bench/run.py still runs end to end and that every output
 passes the benchmark's own correctness checks: on reduce, every solved
@@ -31,3 +31,7 @@ def test_measure_workload_runs_clean():
 
 def test_reduce_workload_runs_clean():
     _run_clean("reduce")
+
+
+def test_scan_workload_runs_clean():
+    _run_clean("scan")

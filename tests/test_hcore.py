@@ -271,6 +271,36 @@ class TestAngleAt:
             angle_at(ORIGIN, ORIGIN, X1)
 
 
+class TestStacked:
+    """dist_pp and angle_at on stacked (..., 3) rows, against one call per row."""
+
+    def test_rows_match_scalar_calls(self, rng):
+        a, b, c = (np.array([random_point(rng, 4.0).vec for _ in range(40)])
+                   for _ in range(3))
+        b[0] = a[0]  # a coincident pair
+        b[1] = a[1] * (1.0 + 1e-13)  # B(b-a, b-a) < 0 within the guard: clamped to 0
+        d = dist_pp(a, b)
+        assert d.shape == (40,)
+        assert d.tolist() == [dist_pp(p, q) for p, q in zip(a, b)]
+        assert d[1] == 0.0
+        ang = angle_at(a[2:], c[2:], b[2:])
+        assert ang.tolist() == [angle_at(p, q, r) for p, q, r in zip(a[2:], c[2:], b[2:])]
+        grid = dist_pp(a[:, None, :], c[None, :, :])
+        assert grid.shape == (40, 40)
+        assert grid[3].tolist() == [dist_pp(a[3], q) for q in c]
+
+    def test_bad_row_raises(self, rng):
+        a = np.array([random_point(rng).vec for _ in range(5)])
+        off = a.copy()
+        off[2] = [0.0, 0.0, 2.0]
+        with pytest.raises(GeometryError):
+            dist_pp(a, off)
+        same = np.array([random_point(rng).vec for _ in range(5)])
+        same[3] = a[3]
+        with pytest.raises(GeometryError):
+            angle_at(same, a, np.roll(a, 1, axis=0))
+
+
 class TestCharts:
     def test_origin(self):
         for chart in ("klein", "poincare"):

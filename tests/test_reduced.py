@@ -5,17 +5,19 @@ import pytest
 
 from hypwidth.corpus import perturbed_polygon, random_nonequilateral_triangle
 from hypwidth.errors import (BracketFailure, EvenGon, GeometryError,
-                             NotOrdinaryReduced)
-from hypwidth.hcore import HPoint, dist_pp
+                             LeftFamily, NoConvergence, NotOrdinaryReduced)
+from hypwidth.hcore import HPoint, apply_isometry, dist_pp, random_isometry
 from hypwidth.polygon import make_polygon, perimeter, side_lengths
-from hypwidth.reduced import (_system, check_ordinary_reduced, diameter_bound,
-                              diameter_within_bound, opposite_side,
-                              perimeter_halving, regular_apothem, regular_ngon,
+from hypwidth.reduced import (_min_norm_step, _system, check_ordinary_reduced,
+                              diameter_bound, diameter_within_bound,
+                              opposite_side, perimeter_halving,
+                              regular_apothem, regular_ngon,
                               regular_ngon_with_thickness,
                               solve_ordinary_reduced)
 from hypwidth.width import diameter, thickness
 from polygon_families import jittered_circle_polygon
-from test_acceptance_oracles import oracle_check_ordinary_reduced
+from test_acceptance_oracles import (oracle_check_ordinary_reduced,
+                                     oracle_perimeter_halving)
 
 
 def circumradius(V):
@@ -204,6 +206,35 @@ class TestSolve:
                             - _system(x - step, delta, anchor, gauge_dir)[0]) / (2.0 * h)
             assert np.max(np.abs(J - fd)) <= 1e-6, (V.n, delta)
 
+    def test_min_norm_step_matches_lstsq(self):
+        rng = np.random.default_rng(4)
+        for n in (3, 5, 15, 31):
+            for delta in (0.01, 1.0, 6.0):
+                V = perturbed_polygon(regular_ngon_with_thickness(n, delta), rng)
+                x = V.vertex_matrix[:, :2].reshape(-1).copy()
+                r, J = _system(x, delta, x[:2] + 0.01, np.array([0.6, 0.8]))
+                step = _min_norm_step(J, r)
+                ref, *_ = np.linalg.lstsq(J, -r, rcond=None)
+                scale = np.linalg.norm(ref)
+                assert np.max(np.abs(step - ref)) <= 1e-10 * scale, (n, delta)
+                assert np.max(np.abs(J @ step + r)) <= 1e-10 * max(1.0, scale), (n, delta)
+
+    def test_rank_deficient_jacobian_raises(self):
+        # A zero gauge direction zeroes the last row of J.
+        V = perturbed_polygon(regular_ngon_with_thickness(5, 1.0), np.random.default_rng(0))
+        x = V.vertex_matrix[:, :2].reshape(-1).copy()
+        r, J = _system(x, 1.0, x[:2], np.zeros(2))
+        assert not J[-1].any()
+        with pytest.raises(NoConvergence):
+            _min_norm_step(J, r)
+
+    def test_left_family_names_feet(self):
+        # The first draw at (31, 1) converges with feet 1 and 14 off their sides.
+        reg = regular_ngon_with_thickness(31, 1.0)
+        seed = perturbed_polygon(reg, np.random.default_rng(0))
+        with pytest.raises(LeftFamily, match=r"at vertices \[1, 14\]"):
+            solve_ordinary_reduced(seed, 1.0)
+
     @pytest.mark.parametrize("n", [5, 15, 31])
     def test_delta_six_solves(self, n):
         reg = regular_ngon_with_thickness(n, 6.0)
@@ -258,6 +289,24 @@ class TestPerimeterHalving:
         T = random_nonequilateral_triangle(rng)
         with pytest.raises(NotOrdinaryReduced):
             perimeter_halving(T)
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(17)
+        polys = [regular_ngon_with_thickness(n, delta)
+                 for n in (3, 5, 31, 101) for delta in (0.01, 1.0, 6.0)]
+        for n, delta in ((5, 1.0), (9, 0.5), (15, 6.0), (21, 3.0)):
+            reg = regular_ngon_with_thickness(n, delta)
+            polys += [solve_ordinary_reduced(perturbed_polygon(reg, rng), delta)
+                      for _ in range(2)]
+        moves = [random_isometry(rng, 3.0) for _ in polys[::2]]
+        polys += [make_polygon(apply_isometry(M, v) for v in V)
+                  for M, V in zip(moves, polys[::2])]
+        for V in polys:
+            rep = perimeter_halving(V)
+            for rec, ref in zip(rep.records, oracle_perimeter_halving(V)):
+                got = (rec.chord_left, rec.chord_right, rec.half_perimeter_gap,
+                       rec.alpha, rec.beta)
+                assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12, V.n
 
 
 class TestDiameterBound:
