@@ -2,8 +2,8 @@
 
 Both extremal disks are exact combinatorial constructions in the hyperboloid
 model.  The smallest enclosing disk comes from Welzl's incremental algorithm
-over the vertices, the largest inscribed disk from an enumeration of the
-vertices of the polygon's medial axis.  The grid scan records
+over the vertices, the largest inscribed disk from a collapse sweep over
+the n - 2 vertices of the polygon's medial axis.  The grid scan records
 diameter/thickness ratios together with perimeter, area and the two radii.
 Expected-but-unproved ratio bounds are logged as findings, never raised: the
 scan is evidence gathering, not a proof checker.
@@ -11,6 +11,7 @@ scan is evidence gathering, not a proof checker.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -71,39 +72,39 @@ def indisk(V: ConvexPolygon) -> tuple[HPoint, float]:
     """Largest disk inscribed in V.
 
     With w = c / sinh(r), the disk of center c and radius r lies in V exactly
-    when B(w, u_j) >= 1 for every side normal u_j, and the largest disk is
-    the point of this polyhedron of smallest Lorentz norm.  That norm is
-    concave, so its minimum lies at a vertex of the polyhedron: a point
-    equidistant from three sides, i.e. a vertex of the medial axis.  (The
-    clearance itself can have several local maxima, e.g. between two
-    ultraparallel sides, so no local search is used.)  Each pair of sides
-    spans an edge line {B(w, u_i) = B(w, u_j) = 1}; clipping all of them by
-    the other n - 2 half-spaces in one vectorised pass leaves segments whose
-    finite ends include every vertex.  The answer is the end of largest
-    clearance: no point has a larger clearance than the inradius, so the
-    choice needs no feasibility test.  O(n^3) time and memory.
+    when B(w, u_j) >= 1 for every side normal u_j, and the largest disk is the
+    w of smallest Lorentz norm, a vertex of the medial axis (the clearance can
+    have several local maxima, so no local search is used).  With w = (k, 1)/s
+    these are Klein half-planes f_j(k) >= s, f_j affine, so the medial axis is
+    a weighted straight skeleton whose n - 2 vertices are the levels s where a
+    shrinking side meets both live neighbours.  A heap pops them in level
+    order, skipping entries whose neighbours changed; each is scored by its
+    clearance min_j B(w, u_j)/|w|, its side unlinked and both neighbours
+    queued again.  The best triple's w is then solved by LU, for accuracy.
     """
     N = V.side_normals * _MINK_DIAG
-    i, j = np.triu_indices(V.n, 1)
-    e = np.cross(N[i], N[j])
-    x0 = np.cross(N[j] - N[i], e) / np.sum(e * e, axis=1)[:, None]
-    a = x0 @ N.T
-    b = e @ N.T
-    side = np.arange(V.n)
-    other = (side != i[:, None]) & (side != j[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (1.0 - a) / b
-    lo = np.max(np.where(other & (b > 0.0), s, -np.inf), axis=1)
-    hi = np.min(np.where(other & (b < 0.0), s, np.inf), axis=1)
-    s = np.concatenate([lo, hi])
-    finite = np.isfinite(s)
-    pair = np.tile(np.arange(len(i)), 2)[finite]
-    ends = x0[pair] + s[finite, None] * e[pair]
-    norm2 = ends[:, 2] ** 2 - ends[:, 0] ** 2 - ends[:, 1] ** 2
-    future = (ends[:, 2] > 0.0) & (norm2 > 0.0)
-    ends = ends[future]
-    clearance = np.min(ends @ N.T, axis=1) / np.sqrt(norm2[future])
-    c = unit_timelike(ends[int(np.argmax(clearance))])
+    rows, n = N.tolist(), V.n
+    prv, nxt = [(j - 1) % n for j in range(n)], [(j + 1) % n for j in range(n)]
+    heap, best = [], (0.0, None)
+
+    def queue(*sides: int) -> None:
+        # q = (b - a) x (c - a) is det(a, b, c) w, and q_t > 0 iff side j shrinks.
+        for j in sides:
+            a, b, c = rows[prv[j]], rows[j], rows[nxt[j]]
+            (x1, y1, t1), (x2, y2, t2) = ([u - v for u, v in zip(r, a)] for r in (b, c))
+            q = (y1 * t2 - t1 * y2, t1 * x2 - x1 * t2, x1 * y2 - y1 * x2)
+            if q[2] > 0.0 and (m2 := q[2] * q[2] - q[0] * q[0] - q[1] * q[1]) > 0.0:
+                s = (a[0] * q[0] + a[1] * q[1] + a[2] * q[2]) / q[2]
+                heapq.heappush(heap, (s, j, prv[j], nxt[j], q, m2))
+    queue(*range(n))
+    while heap:
+        _, j, left, right, q, m2 = heapq.heappop(heap)
+        if (prv[j], nxt[j]) == (left, right):
+            if (score := float(np.min(N @ q)) / math.sqrt(m2)) > best[0]:
+                best = (score, [left, j, right])
+            nxt[left], prv[right] = right, left
+            queue(left, right)
+    c = unit_timelike(np.linalg.solve(N[best[1]], np.ones(3)))
     return c, math.asinh(float(np.min(N @ c.vec)))
 
 

@@ -90,10 +90,11 @@ def line_normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w / N, N
 
 
-def _turn_crosses(k: np.ndarray) -> np.ndarray:
+def _turns(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge vectors of the Klein-chart cycle k and each one's cross with the next."""
     e = np.roll(k, -1, axis=0) - k
     e_next = np.roll(e, -1, axis=0)
-    return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+    return e, e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
 
 
 def make_polygon(points: Iterable[HPoint]) -> ConvexPolygon:
@@ -101,33 +102,27 @@ def make_polygon(points: Iterable[HPoint]) -> ConvexPolygon:
 
     Negatively oriented but convex input is reversed; non-convex input
     (a right turn, collinear consecutive vertices, or a cycle winding more
-    than once around) is rejected.
+    than once around) is rejected.  The orientation is the common sign of the
+    Klein-chart turn crosses.  Once every turn is strictly left, the winding
+    number is the number of times the edge direction passes from the lower
+    half-plane to the upper one, which sign tests count exactly.
     """
     pts = tuple(points)
     if len(pts) < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {len(pts)}")
     P = ConvexPolygon(pts)
-    k = P.klein
-
-    area2 = float(np.sum(k[:, 0] * np.roll(k[:, 1], -1) - np.roll(k[:, 0], -1) * k[:, 1]))
-    if area2 < 0.0:
+    e, crosses = _turns(P.klein)
+    if np.all(crosses < 0.0):
         P = ConvexPolygon(pts[::-1])
-        k = P.klein
-
-    crosses = _turn_crosses(k)
+        e, crosses = _turns(P.klein)
     if np.any(crosses <= CONVEXITY_TOL):
         j = int(np.argmin(crosses))
         raise NonConvex(
             f"vertex triple starting at index {(j + 1) % len(pts)} does not "
             f"turn strictly left (cross = {crosses[j]:.3e})")
-
-    e = np.roll(k, -1, axis=0) - k
-    angles = np.arctan2(e[:, 1], e[:, 0])
-    turns = np.diff(angles, append=angles[:1])
-    turns = (turns + math.pi) % (2.0 * math.pi) - math.pi
-    if abs(float(np.sum(turns)) - 2.0 * math.pi) > 1e-6:
+    upper = (e[:, 1] > 0.0) | ((e[:, 1] == 0.0) & (e[:, 0] > 0.0))
+    if np.count_nonzero(~upper & np.roll(upper, -1)) != 1:
         raise NonConvex("vertex cycle winds around more than once")
-
     return P
 
 

@@ -90,8 +90,6 @@ def _criterion(V: ConvexPolygon, tol: float):
     the verdict: every margin >= tol and the spread <= tol.
     """
     n = V.n
-    if n % 2 == 0:
-        raise EvenGon(f"ordinary reducedness is defined for odd-gons, got n = {n}")
     s, u, _ = _opposite_values(V.vertex_matrix)
     dists = np.abs(np.arcsinh(s))
     # The projection v - B(v, u) u is a positive multiple of the foot.
@@ -243,11 +241,9 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
     until the residual norm decreases.  Raises NoConvergence when the
     iteration stalls or the Jacobian is rank deficient, and LeftFamily,
     naming the vertices whose feet left their sides, when the converged
-    polygon is not ordinary reduced.
+    polygon is not ordinary reduced.  An even seed raises EvenGon from
+    ``opposite_side``.
     """
-    n = seed.n
-    if n % 2 == 0:
-        raise EvenGon(f"solver requires an odd-gon seed, got n = {n}")
     if not (delta > 0.0) or not math.isfinite(delta):
         raise GeometryError(f"target distance must be positive, got {delta}")
 
@@ -292,13 +288,16 @@ def _min_norm_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Minimum-norm solution s of J s = -r, for J of full row rank.
 
     With J^T = Q R (reduced QR), s = Q z where R^T z = -r, so s lies in the
-    row space of J.  Raises NoConvergence when R is singular.
+    row space of J.  Raises NoConvergence when J is rank deficient by numpy's
+    ``matrix_rank`` rule applied to the diagonal of R: min |R_kk| at most
+    max |R_kk| * max(J.shape) * eps.
     """
-    try:
-        Q, R = np.linalg.qr(J.T)
-        return Q @ np.linalg.solve(R.T, -r)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Jacobian is rank deficient: {exc}") from exc
+    Q, R = np.linalg.qr(J.T)
+    d = np.abs(np.diagonal(R))
+    if d.min() <= d.max() * max(J.shape) * np.finfo(float).eps:
+        raise NoConvergence(
+            f"Jacobian is rank deficient (|R_kk| from {d.min():.3e} to {d.max():.3e})")
+    return Q @ np.linalg.solve(R.T, -r)
 
 
 @dataclass(frozen=True)

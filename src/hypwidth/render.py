@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EvenGon, GeometryError
+from .errors import GeometryError
 from .hcore import (HLine, HPoint, foot, hyperboloid_to_chart, lorentz_cross,
                     unit_spacelike)
 from .polygon import ConvexPolygon, side_line
@@ -124,8 +124,6 @@ def render_svg(V: ConvexPolygon, spec: RenderSpec = RenderSpec()) -> str:
                f'stroke="{spec.polygon_color}" stroke-width="{_num(spec.stroke_width)}"/>')
 
     if spec.show_feet or spec.show_opposite_lines:
-        if V.n % 2 == 0:
-            raise EvenGon("vertex projections are defined for odd-gons only")
         report = check_ordinary_reduced(V)  # feet are drawn whatever the verdict
         if spec.show_opposite_lines:
             for rec in report.records:

@@ -1,4 +1,4 @@
-"""Smoke tests of the benchmark: one short run of the measure, reduce and scan workloads.
+"""Smoke tests of the benchmark: one short run of each of its four workloads.
 
 They check that bench/run.py still runs end to end and that every output
 passes the benchmark's own correctness checks: on reduce, every solved
@@ -35,3 +35,7 @@ def test_reduce_workload_runs_clean():
 
 def test_scan_workload_runs_clean():
     _run_clean("scan")
+
+
+def test_cli_workload_runs_clean():
+    _run_clean("cli")

@@ -101,6 +101,15 @@ class TestHappyPaths:
         assert lines[0] == ",".join(SCAN_CSV_HEADER)
         assert len(lines) == 3
 
+    def test_scan_large_regular_row(self, capsys):
+        code, out = run(capsys, "scan", "--ns", "1001", "--deltas", "1")
+        assert code == 0
+        header, row = (line.split(",") for line in out.strip().split("\n"))
+        fields = dict(zip(header, row))
+        assert fields["polygon_id"] == "regular-n1001-d1"
+        R = float(fields["circumradius"])
+        assert float(fields["inradius"]) == pytest.approx(regular_apothem(1001, R), abs=1e-9)
+
     def test_render_svg(self, capsys, tmp_path, pentagon_file):
         out_path = tmp_path / "p.svg"
         code, _ = run(capsys, "render", "--input", pentagon_file, "--chart",

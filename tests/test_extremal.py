@@ -13,6 +13,7 @@ from hypwidth.polygon import make_polygon, side_line
 from hypwidth.reduced import (check_ordinary_reduced, regular_apothem, regular_ngon,
                               regular_ngon_with_thickness, solve_ordinary_reduced)
 from hypwidth.width import diameter, thickness
+from polygon_families import jittered_circle_polygon
 from test_acceptance_oracles import oracle_circumdisk, oracle_indisk
 
 
@@ -131,6 +132,24 @@ class TestIndisk:
                               for v in ultraparallel_quadrilateral(h, x1, x2).vertices])
             _, r = indisk(V)
             assert r == pytest.approx(oracle_indisk(V), abs=1e-9), (h, x1, x2)
+
+    @pytest.mark.parametrize("n", [3, 5, 31, 101, 1001])
+    def test_regular_simultaneous_events(self, n):
+        # Every side of a regular polygon collapses at the center at one level.
+        c, r = indisk(regular_ngon(n, 1.2))
+        assert r == pytest.approx(regular_apothem(n, 1.2), abs=1e-9)
+        assert dist_pp(c, (0.0, 0.0, 1.0)) < 1e-9
+
+    def test_rhombi_match_oracle(self):
+        for a, b in ((1.0, 1.0), (1.0, 0.3)):
+            V = rhombus(a, b)
+            assert indisk(V)[1] == pytest.approx(oracle_indisk(V), abs=1e-9), (a, b)
+
+    def test_large_moved_polygon(self):
+        V = jittered_circle_polygon(np.random.default_rng(11), 1001, 1.0, 2.0)
+        c, r = indisk(V)
+        assert min(signed_dist(c, side_line(V, j)) for j in range(V.n)) >= r - 1e-9
+        assert 2.0 * r <= thickness(V).thickness + 1e-9
 
     def test_equilateral_radius_chain(self):
         V = regular_ngon(3, 1.0)

@@ -51,11 +51,14 @@ class TestMakePolygon:
             klein_polygon([(0.0, 0.0), (0.2, 0.0), (0.4, 0.0), (0.2, 0.3)])
 
     def test_star_order_rejected(self):
-        base = [(0.4 * math.cos(2 * math.pi * k / 5),
-                 0.4 * math.sin(2 * math.pi * k / 5)) for k in range(5)]
-        star = [base[(2 * k) % 5] for k in range(5)]
-        with pytest.raises(NonConvex):
-            klein_polygon(star)
+        # {n/m} stars turn strictly left at every vertex but wind m times.
+        for n, m in ((5, 2), (7, 2), (9, 4)):
+            base = [(0.4 * math.cos(2 * math.pi * k / n),
+                     0.4 * math.sin(2 * math.pi * k / n)) for k in range(n)]
+            star = [base[(m * k) % n] for k in range(n)]
+            for order in (star, star[::-1]):
+                with pytest.raises(NonConvex):
+                    klein_polygon(order)
 
 
 class TestPerimeter:

@@ -228,6 +228,15 @@ class TestSolve:
         with pytest.raises(NoConvergence):
             _min_norm_step(J, r)
 
+    def test_nearly_rank_deficient_jacobian_raises(self):
+        # Two equal rows leave R a diagonal entry at rounding level, which
+        # np.linalg.solve accepts, returning a step of norm about 2.7e15.
+        rng = np.random.default_rng(0)
+        J = rng.standard_normal((8, 10))
+        J[5] = J[2]
+        with pytest.raises(NoConvergence, match="rank deficient"):
+            _min_norm_step(J, rng.standard_normal(8))
+
     def test_left_family_names_feet(self):
         # The first draw at (31, 1) converges with feet 1 and 14 off their sides.
         reg = regular_ngon_with_thickness(31, 1.0)
