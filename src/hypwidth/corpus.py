@@ -7,13 +7,8 @@ import math
 import numpy as np
 
 from .errors import GeometryError, NonConvex
-from .hcore import HPoint, chart_to_hyperboloid, geodesic_point, signed_dist
+from .hcore import chart_to_hyperboloid, geodesic_point, polar_point, signed_dist
 from .polygon import ConvexPolygon, make_polygon, side_line
-
-
-def _polar_point(r: float, theta: float) -> HPoint:
-    sh = math.sinh(r)
-    return HPoint(sh * math.cos(theta), sh * math.sin(theta), math.cosh(r))
 
 
 def random_convex_polygon(rng: np.random.Generator, n: int,
@@ -29,7 +24,7 @@ def random_convex_polygon(rng: np.random.Generator, n: int,
         angles += rng.uniform(0.0, 2.0 * math.pi)
         radii = rng.uniform(*radius_range, size=n)
         try:
-            return make_polygon([_polar_point(r, t) for r, t in zip(radii, angles)])
+            return make_polygon([polar_point(r, t) for r, t in zip(radii, angles)])
         except NonConvex:
             continue
     raise GeometryError("could not draw a convex polygon (bad generator parameters)")
@@ -79,7 +74,7 @@ def perturbed_polygon(V: ConvexPolygon, rng: np.random.Generator,
         rr = rho * (1.0 + scale * radial * rng.uniform(-1.0, 1.0, size=V.n))
         tt = theta + scale * angular * spacing * rng.uniform(-1.0, 1.0, size=V.n)
         try:
-            return make_polygon([_polar_point(r, t) for r, t in zip(rr, tt)])
+            return make_polygon([polar_point(r, t) for r, t in zip(rr, tt)])
         except NonConvex:
             continue
     raise GeometryError("perturbation kept breaking convexity")

@@ -21,8 +21,8 @@ import numpy as np
 
 from .corpus import perturbed_polygon
 from .errors import NumericalError
-from .hcore import HPoint, unit_timelike
-from .polygon import _MINK_DIAG, ConvexPolygon, area, make_polygon, perimeter
+from .hcore import MINK_DIAG, HPoint, unit_timelike
+from .polygon import ConvexPolygon, area, make_polygon, perimeter
 from .reduced import regular_ngon_with_thickness, solve_ordinary_reduced
 from .width import diameter, thickness
 
@@ -82,7 +82,7 @@ def indisk(V: ConvexPolygon) -> tuple[HPoint, float]:
     clearance min_j B(w, u_j)/|w|, its side unlinked and both neighbours
     queued again.  The best triple's w is then solved by LU, for accuracy.
     """
-    N = V.side_normals * _MINK_DIAG
+    N = V.side_normals * MINK_DIAG
     rows, n = N.tolist(), V.n
     prv, nxt = [(j - 1) % n for j in range(n)], [(j + 1) % n for j in range(n)]
     heap, best = [], (0.0, None)

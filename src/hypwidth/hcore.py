@@ -2,9 +2,12 @@
 
 Points are unit timelike vectors on the upper sheet of x^2 + y^2 - t^2 = -1,
 geodesic lines are unit spacelike normal vectors, and every quantity below is
-derived from the bilinear form B(p, q) = px*qx + py*qy - pt*qt.  All functions
-are pure and all value types are immutable, so everything here is safe to call
-concurrently.
+derived from the bilinear form B(p, q) = px*qx + py*qy - pt*qt.  The metric
+diagonal, the sheet normalisation and the disk-chart formulas live here only.
+``mink``, ``to_sheet``, ``hyperboloid_to_chart``, ``lorentz_cross``,
+``dist_pp`` and ``angle_at`` also take stacked (..., 3) rows, one result per
+row.  All functions are pure and all value types are immutable, so everything
+here is safe to call concurrently.
 
 Far from the origin the form evaluates with catastrophic cancellation
 (coordinates grow like cosh of the distance), so the unit-norm tolerances are
@@ -23,6 +26,10 @@ import numpy as np
 from .errors import GeometryError
 
 _EPS = float(np.finfo(float).eps)
+
+# (p * q) @ MINK_DIAG is B(p, q) = (px*qx + py*qy) - pt*qt, row by row.
+MINK_DIAG = np.array([1.0, 1.0, -1.0])
+MINK_DIAG.flags.writeable = False
 
 # Absolute floors for invariant checks; they grow with the squared coordinate
 # scale because that is the intrinsic float64 limit of evaluating the form.
@@ -48,11 +55,10 @@ def _vec3(obj, stacked: bool = False) -> np.ndarray:
     return a
 
 
-def mink(p, q) -> float:
-    """Minkowski bilinear form B(p, q) = px*qx + py*qy - pt*qt."""
-    a = _vec3(p)
-    b = _vec3(q)
-    return float(a[0] * b[0] + a[1] * b[1] - a[2] * b[2])
+def mink(p, q):
+    """Minkowski bilinear form B(p, q) = px*qx + py*qy - pt*qt, one per stacked row."""
+    f = (_vec3(p, stacked=True) * _vec3(q, stacked=True)) @ MINK_DIAG
+    return f if isinstance(f, np.ndarray) else float(f)
 
 
 def _norm_tol(x: float, y: float, t: float) -> float:
@@ -72,7 +78,7 @@ class HPoint:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "t", float(self.t))
         err = abs(self.x * self.x + self.y * self.y - self.t * self.t + 1.0)
-        if err > _norm_tol(self.x, self.y, self.t):
+        if not err <= _norm_tol(self.x, self.y, self.t):
             raise GeometryError(
                 f"point not on the unit hyperboloid: B(p,p)+1 = {err:.3e}")
         if self.t <= 0.0:
@@ -107,7 +113,7 @@ class HLine:
         object.__setattr__(self, "uy", float(self.uy))
         object.__setattr__(self, "ut", float(self.ut))
         err = abs(self.ux * self.ux + self.uy * self.uy - self.ut * self.ut - 1.0)
-        if err > _norm_tol(self.ux, self.uy, self.ut):
+        if not err <= _norm_tol(self.ux, self.uy, self.ut):
             raise GeometryError(
                 f"normal is not unit spacelike: B(u,u)-1 = {err:.3e}")
 
@@ -144,22 +150,28 @@ class LineRelation:
     measure: float
 
 
+def to_sheet(v) -> np.ndarray:
+    """Divide timelike (..., 3) rows by sign(t) sqrt(t^2 - x^2 - y^2), in that order.
+
+    This puts every row on the upper sheet; raises if any row is not timelike.
+    """
+    a = np.asarray(v, dtype=float)
+    x, y, t = a[..., 0], a[..., 1], a[..., 2]
+    n = t * t - x * x - y * y
+    if not (n > 0.0).all():
+        raise GeometryError("vector is not timelike")
+    return a / np.copysign(np.sqrt(n), t)[..., None]
+
+
 def unit_timelike(v) -> HPoint:
     """Rescale a timelike vector onto the upper hyperboloid sheet."""
-    a = np.asarray(v, dtype=float)
-    n = a[2] * a[2] - a[0] * a[0] - a[1] * a[1]
-    if n <= 0.0:
-        raise GeometryError("vector is not timelike")
-    a = a / math.sqrt(n)
-    if a[2] < 0.0:
-        a = -a
-    return HPoint(a[0], a[1], a[2])
+    return HPoint.from_vec(to_sheet(_vec3(v)))
 
 
 def unit_spacelike(v) -> HLine:
     """Rescale a spacelike vector to a unit line normal."""
     a = np.asarray(v, dtype=float)
-    n = a[0] * a[0] + a[1] * a[1] - a[2] * a[2]
+    n = mink(a, a)
     scale = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
     if n <= 64.0 * _EPS * scale:
         raise GeometryError("vector is not spacelike")
@@ -192,7 +204,7 @@ def dist_pp(p, q):
     a = _vec3(p, stacked=True)
     b = _vec3(q, stacked=True)
     d = b - a
-    x = 0.5 * (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] - d[..., 2] * d[..., 2])
+    x = 0.5 * mink(d, d)
     if np.any(x < 0.0):
         guard = np.maximum(DIST_CLAMP_TOL, 64.0 * _EPS * np.abs(a[..., 2] * b[..., 2]))
         if np.any(x < -guard):
@@ -291,14 +303,19 @@ def chart_to_hyperboloid(x: float, y: float, chart: str) -> HPoint:
     raise GeometryError(f"unknown chart {chart!r} (expected 'klein' or 'poincare')")
 
 
-def hyperboloid_to_chart(p, chart: str) -> tuple[float, float]:
-    """Project a hyperboloid point into the Klein or Poincare disk."""
-    v = _vec3(p)
-    if chart == "klein":
-        return float(v[0] / v[2]), float(v[1] / v[2])
-    if chart == "poincare":
-        return float(v[0] / (1.0 + v[2])), float(v[1] / (1.0 + v[2]))
-    raise GeometryError(f"unknown chart {chart!r} (expected 'klein' or 'poincare')")
+def hyperboloid_to_chart(p, chart: str):
+    """Project a point into the Klein or Poincare disk; (..., 3) rows give (..., 2) rows."""
+    v = _vec3(p, stacked=True)
+    if chart not in ("klein", "poincare"):
+        raise GeometryError(f"unknown chart {chart!r} (expected 'klein' or 'poincare')")
+    xy = v[..., :2] / (v[..., 2:] if chart == "klein" else 1.0 + v[..., 2:])
+    return (float(xy[0]), float(xy[1])) if xy.ndim == 1 else xy
+
+
+def polar_point(r: float, theta: float) -> HPoint:
+    """Point at distance r from the chart origin in direction theta."""
+    sh = math.sinh(r)
+    return HPoint(sh * math.cos(theta), sh * math.sin(theta), math.cosh(r))
 
 
 def rotation(theta: float) -> np.ndarray:

@@ -14,14 +14,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import NonConvex, TooFewVertices
-from .hcore import HLine, HPoint, angle_at, dist_pp, lorentz_cross
+from .hcore import (MINK_DIAG, HLine, HPoint, angle_at, dist_pp, hyperboloid_to_chart,
+                    lorentz_cross, mink)
 
 # Strict left-turn threshold on Klein-chart cross products.
 CONVEXITY_TOL = 1e-12
 
 CONTAINS_TOL = 1e-10
-
-_MINK_DIAG = np.array([1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -57,14 +56,13 @@ class ConvexPolygon:
     @cached_property
     def mink_rows(self) -> np.ndarray:
         """Rows v_i * diag(1,1,-1); mink_rows @ w gives all B(v_i, w) at once."""
-        g = self.vertex_matrix * _MINK_DIAG
+        g = self.vertex_matrix * MINK_DIAG
         g.flags.writeable = False
         return g
 
     @cached_property
     def klein(self) -> np.ndarray:
-        m = self.vertex_matrix
-        k = m[:, :2] / m[:, 2:]
+        k = hyperboloid_to_chart(self.vertex_matrix, "klein")
         k.flags.writeable = False
         return k
 
@@ -86,7 +84,7 @@ def line_normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     B(lorentz_cross(a, b), c) equals det(a, b, c).
     """
     w = lorentz_cross(a, b)
-    N = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 2] ** 2)[:, None]
+    N = np.sqrt(mink(w, w))[:, None]
     return w / N, N
 
 
@@ -149,7 +147,7 @@ def side_line(V: ConvexPolygon, j: int) -> HLine:
 
 def contains(V: ConvexPolygon, p: HPoint) -> bool:
     """Whether p lies in the closed polygon (boundary counts as inside)."""
-    b = float(np.min(V.side_normals @ (p.vec * _MINK_DIAG)))
+    b = float(np.min(mink(V.side_normals, p)))
     return math.asinh(b) >= -CONTAINS_TOL
 
 

@@ -57,7 +57,10 @@ def parse_polygon_file(text: str) -> PolygonFile:
                            for c in row)):
             raise SchemaError(
                 f"field 'vertices[{i}]': expected {width} numbers for model {model!r}")
-        rows.append(tuple(float(c) for c in row))
+        try:
+            rows.append(tuple(float(c) for c in row))
+        except OverflowError as exc:
+            raise SchemaError(f"field 'vertices[{i}]': {exc}") from exc
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("field 'metadata': expected an object")

@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import (BracketFailure, EvenGon, GeometryError, LeftFamily,
                      NoConvergence, NonConvex, NotOrdinaryReduced)
-from .hcore import HPoint, angle_at, dist_pp, lorentz_cross
-from .polygon import _MINK_DIAG, ConvexPolygon, line_normals, make_polygon, side_lengths
+from .hcore import (MINK_DIAG, HPoint, angle_at, dist_pp, hyperboloid_to_chart, lorentz_cross,
+                    mink, polar_point, to_sheet)
+from .polygon import ConvexPolygon, line_normals, make_polygon, side_lengths
 from .width import diameter, thickness
 
 REDUCED_TOL = 1e-9
@@ -78,7 +79,7 @@ def _opposite_values(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     ia, ib = opposite_side(np.arange(len(pts)), len(pts))
     u, N = line_normals(pts[ia], pts[ib])
-    return (pts * u) @ _MINK_DIAG, u, N
+    return mink(pts, u), u, N
 
 
 def _criterion(V: ConvexPolygon, tol: float):
@@ -93,12 +94,12 @@ def _criterion(V: ConvexPolygon, tol: float):
     s, u, _ = _opposite_values(V.vertex_matrix)
     dists = np.abs(np.arcsinh(s))
     # The projection v - B(v, u) u is a positive multiple of the foot.
-    feet = V.vertex_matrix - s[:, None] * u
-    feet /= np.sqrt(feet[:, 2] ** 2 - feet[:, 0] ** 2 - feet[:, 1] ** 2)[:, None]
+    feet = to_sheet(V.vertex_matrix - s[:, None] * u)
     ia, ib = opposite_side(np.arange(n), n)
     k = V.klein
     edge = k[ib] - k[ia]
-    lam = np.sum((feet[:, :2] / feet[:, 2:] - k[ia]) * edge, axis=1) / np.sum(edge * edge, axis=1)
+    lam = (np.sum((hyperboloid_to_chart(feet, "klein") - k[ia]) * edge, axis=1)
+           / np.sum(edge * edge, axis=1))
     margins = np.minimum(lam, 1.0 - lam)
     spread = float(dists.max() - dists.min())
     return dists, feet, margins, spread, bool(np.all(margins >= tol)) and spread <= tol
@@ -130,11 +131,7 @@ def regular_ngon(n: int, R: float) -> ConvexPolygon:
         raise EvenGon(f"regular construction requires an odd n >= 3, got n = {n}")
     if not (R > 0.0) or not math.isfinite(R):
         raise GeometryError(f"circumradius must be positive and finite, got {R}")
-    sh, ch = math.sinh(R), math.cosh(R)
-    pts = [HPoint(sh * math.cos(2.0 * math.pi * k / n),
-                  sh * math.sin(2.0 * math.pi * k / n), ch)
-           for k in range(n)]
-    return make_polygon(pts)
+    return make_polygon(polar_point(R, 2.0 * math.pi * k / n) for k in range(n))
 
 
 def regular_apothem(n: int, R: float) -> float:
@@ -209,12 +206,12 @@ def _system(x: np.ndarray, delta: float, gauge_anchor: np.ndarray,
     rows = np.arange(n)
     ia, ib = opposite_side(rows, n)
     a, b = v[ia], v[ib]
-    c = (f * ((a * b) @ _MINK_DIAG))[:, None] / N ** 2
+    c = (f * mink(a, b))[:, None] / N ** 2
     # lorentz_cross(p, q) * J is the Euclidean cross product of p and q.
     # Gradients of B(v_i, u_i) in v_i, a_i and b_i, with the vertex index of each.
     idx = np.stack([rows, ia, ib])
     g = np.stack([u, lorentz_cross(b, v) / N - c * b,
-                  lorentz_cross(v, a) / N - c * a]) * _MINK_DIAG
+                  lorentz_cross(v, a) / N - c * a]) * MINK_DIAG
     p = v[idx]
     scale = (np.sign(f) / np.sqrt(1.0 + f * f))[:, None]  # d|asinh f| / df
     J = np.zeros((n + 3, n, 2))

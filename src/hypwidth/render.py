@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GeometryError
 from .hcore import (HLine, HPoint, foot, hyperboloid_to_chart, lorentz_cross,
                     unit_spacelike)
 from .polygon import ConvexPolygon, side_line
@@ -37,10 +36,6 @@ class RenderSpec:
 
 def _num(x: float) -> str:
     return f"{x + 0.0:.12g}"
-
-
-def _chart_xy(p: HPoint, chart: str) -> tuple[float, float]:
-    return hyperboloid_to_chart(p, chart)
 
 
 def _svg_pt(xy: tuple[float, float]) -> tuple[float, float]:
@@ -73,8 +68,8 @@ def _geodesic_path(p: HPoint | tuple[float, float], q: HPoint | tuple[float, flo
     p and q may be hyperboloid points or chart coordinates (the latter allows
     ideal boundary points).
     """
-    z1 = _chart_xy(p, chart) if isinstance(p, HPoint) else p
-    z2 = _chart_xy(q, chart) if isinstance(q, HPoint) else q
+    z1 = hyperboloid_to_chart(p, chart) if isinstance(p, HPoint) else p
+    z2 = hyperboloid_to_chart(q, chart) if isinstance(q, HPoint) else q
     s1, s2 = _svg_pt(z1), _svg_pt(z2)
     head = f"M {_num(s1[0])} {_num(s1[1])} " if move else ""
     if chart == "klein":
@@ -95,19 +90,13 @@ def line_ideal_endpoints(L: HLine) -> tuple[tuple[float, float], tuple[float, fl
     """Boundary-circle endpoints of a geodesic line (same in both charts)."""
     p0 = foot(HPoint(0.0, 0.0, 1.0), L)
     d = unit_spacelike(lorentz_cross(L, p0)).vec
-    ends = []
-    for sgn in (1.0, -1.0):
-        w = p0.vec + sgn * d
-        ends.append((w[0] / w[2], w[1] / w[2]))
-    return ends[0], ends[1]
+    return (hyperboloid_to_chart(p0.vec + d, "klein"),
+            hyperboloid_to_chart(p0.vec - d, "klein"))
 
 
 def render_svg(V: ConvexPolygon, spec: RenderSpec = RenderSpec()) -> str:
     """Render a polygon (and optionally its vertex projections) as SVG text."""
-    chart = spec.chart
-    if chart not in ("klein", "poincare"):
-        raise GeometryError(f"unknown chart {chart!r} (expected 'klein' or 'poincare')")
-
+    chart = spec.chart  # hyperboloid_to_chart rejects an unknown chart
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -138,7 +127,7 @@ def render_svg(V: ConvexPolygon, spec: RenderSpec = RenderSpec()) -> str:
                 out.append(f'  <path d="{seg}" fill="none" stroke="{spec.foot_color}" '
                            f'stroke-width="{_num(0.5 * spec.stroke_width)}"/>')
             for rec in report.records:
-                fx, fy = _svg_pt(_chart_xy(rec.foot, chart))
+                fx, fy = _svg_pt(hyperboloid_to_chart(rec.foot, chart))
                 out.append(f'  <circle cx="{_num(fx)}" cy="{_num(fy)}" '
                            f'r="{_num(spec.marker_radius)}" fill="{spec.foot_color}"/>')
     out.append("</svg>")

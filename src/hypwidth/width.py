@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotSupporting
 from .hcore import HLine, mink, unit_spacelike
-from .polygon import _MINK_DIAG, ConvexPolygon
+from .polygon import ConvexPolygon
 
 SUPPORT_TOL = 1e-9
 SIDE_ATTAIN_TOL = 1e-9
@@ -59,42 +59,30 @@ class ThicknessReport:
     achieved_on_side: int | None
 
 
-def _slerp(u0: np.ndarray, u1: np.ndarray, s: float) -> np.ndarray:
-    """Arc interpolation between two unit normals in a vertex tangent plane.
-
-    Both endpoints are interior-positive supporting normals at the same
-    vertex, so every interpolant is one as well.
-    """
-    omega = math.acos(max(-1.0, min(1.0, mink(u0, u1))))
-    if omega < 1e-12:
-        return u0.copy()
-    return (u0 * math.sin((1.0 - s) * omega) + u1 * math.sin(s * omega)) / math.sin(omega)
-
-
 def pencil_line(V: ConvexPolygon, i: int, s: float) -> HLine:
     """Supporting line at vertex i, parametrized by s in [0, 1].
 
     s = 0 gives the side line ending at vertex i, s = 1 the one starting
     there; interior s touch the polygon at vertex i only.
     """
-    normals = V.side_normals
-    u = _slerp(normals[(i - 1) % V.n], normals[i % V.n], float(s))
-    return HLine(u[0], u[1], u[2])
+    u0, e, omega, _, _ = _pencil_frames(V, i % V.n)
+    return HLine.from_vec(u0 * math.cos(s * omega) + e * math.sin(s * omega))
 
 
-def _pencil_frames(V: ConvexPolygon):
-    """The frame (u0, e, omega) of every vertex pencil, with cos and sin of omega.
+def _pencil_frames(V: ConvexPolygon, i=slice(None)):
+    """The frame (u0, e, omega) of the vertex pencils, with cos and sin of omega.
 
     Row i belongs to vertex i: u0 is the normal of side i-1 and the pencil
-    u0 cos(theta) + e sin(theta) reaches the normal of side i at omega.
+    u0 cos(theta) + e sin(theta) reaches the normal of side i at omega.  i
+    selects the vertices, all of them by default.
     """
-    u1 = V.side_normals
-    u0 = np.roll(u1, 1, axis=0)
-    cos_w = np.clip((u0 * u1) @ _MINK_DIAG, -1.0, 1.0)
+    u1 = V.side_normals[i]
+    u0 = V.side_normals[np.arange(V.n)[i] - 1]
+    cos_w = np.clip(mink(u0, u1), -1.0, 1.0)
     omega = np.arccos(cos_w)
     sin_w = np.sin(omega)
     # A straight angle leaves u1 = u0 and nothing to sweep; any finite e does.
-    e = (u1 - cos_w[:, None] * u0) / np.where(sin_w > 0.0, sin_w, 1.0)[:, None]
+    e = (u1 - cos_w[..., None] * u0) / np.where(sin_w > 0.0, sin_w, 1.0)[..., None]
     return u0, e, omega, cos_w, sin_w
 
 
@@ -196,8 +184,7 @@ def width_ultraparallel_oracle(V: ConvexPolygon, L: HLine) -> float:
     """
     _oriented_support_values(V, L)
     u0, e, _, cos_w, sin_w = _pencil_frames(V)
-    w = L.vec * _MINK_DIAG
-    c = float(np.max(_pencil_peaks(u0 @ w, e @ w, cos_w, sin_w)))
+    c = float(np.max(_pencil_peaks(mink(u0, L), mink(e, L), cos_w, sin_w)))
     # 0 whenever no supporting line is ultraparallel to L.
     return math.acosh(c) if c > 1.0 else 0.0
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from hypwidth.hcore import HPoint, chart_to_hyperboloid, rotation, translation_x
+from hypwidth.hcore import HPoint, chart_to_hyperboloid, rotation, to_sheet, translation_x
 from hypwidth.polygon import ConvexPolygon, make_polygon
 
 
@@ -60,6 +60,5 @@ def jittered_circle_polygon(rng: np.random.Generator, n: int, R: float,
     theta = 2.0 * math.pi / n * (np.arange(n) + 0.35 * rng.uniform(-1.0, 1.0, n))
     pts = np.column_stack([math.sinh(R) * np.cos(theta), math.sinh(R) * np.sin(theta),
                            np.full(n, math.cosh(R))])
-    pts = pts @ (rotation(rng.uniform(0.0, 2.0 * math.pi)) @ translation_x(shift)).T
-    pts /= np.sqrt(pts[:, 2] ** 2 - pts[:, 0] ** 2 - pts[:, 1] ** 2)[:, None]
+    pts = to_sheet(pts @ (rotation(rng.uniform(0.0, 2.0 * math.pi)) @ translation_x(shift)).T)
     return make_polygon(HPoint.from_vec(p) for p in pts)

@@ -5,8 +5,9 @@ re-derived by dense enumeration over the supporting family and by evaluating
 every pairwise crossing inside each pencil, the smallest enclosing disk by
 exhaustive pair/triple candidate construction, the largest inscribed disk by
 exhaustive side-triple construction, the diameter by a loop over vertex
-pairs, and the ordinary-reducedness criterion and the boundary halving one
-vertex at a time.
+pairs, the ordinary-reducedness criterion and the boundary halving one
+vertex at a time, and the vertex pencils by arc interpolation between the
+two side normals.
 """
 
 import math
@@ -18,6 +19,18 @@ from hypwidth.polygon import ConvexPolygon, side_line
 from hypwidth.width import pencil_line, width_line
 
 _J = np.array([1.0, 1.0, -1.0])
+
+
+def slerp_normal(u0: np.ndarray, u1: np.ndarray, s: float) -> np.ndarray:
+    """Arc interpolation (u0 sin((1-s) omega) + u1 sin(s omega)) / sin(omega).
+
+    omega is the angle between the two unit normals, cos(omega) = B(u0, u1);
+    s = 0 and s = 1 give u0 and u1.
+    """
+    omega = math.acos(max(-1.0, min(1.0, mink(u0, u1))))
+    if omega < 1e-12:
+        return u0.copy()
+    return (u0 * math.sin((1.0 - s) * omega) + u1 * math.sin(s * omega)) / math.sin(omega)
 
 
 def dense_thickness(V: ConvexPolygon, total_lines: int = 10_000) -> float:

@@ -131,6 +131,14 @@ class TestExitCodes:
         code, _ = run(capsys, "thickness", "--input", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["thickness", "diameter"])
+    def test_nan_vertex_is_2(self, capsys, tmp_path, command):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"model": "klein", "vertices": [[0.3, 0], [NaN, 0.26], [-0.15, -0.26]]}')
+        code, out = run(capsys, command, "--input", str(bad))
+        assert code == 2
+        assert out == ""
+
     def test_schema_error_is_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")

@@ -11,8 +11,9 @@ from hypwidth.hcore import (ASYMPTOTIC, COINCIDENT, HLine, HPoint,
                             apply_isometry, chart_to_hyperboloid, dist_pp,
                             foot, geodesic_point, hyperboloid_to_chart,
                             line_relation, line_through, lorentz_cross, mink,
-                            random_isometry, rotation, signed_dist,
-                            translation_x, unit_spacelike)
+                            polar_point, random_isometry, rotation,
+                            signed_dist, to_sheet, translation_x,
+                            unit_spacelike, unit_timelike)
 
 ORIGIN = HPoint(0.0, 0.0, 1.0)
 X1 = HPoint(math.sinh(1.0), 0.0, math.cosh(1.0))
@@ -96,6 +97,17 @@ class TestDist:
             HPoint(0.0, 0.0, 2.0)
         with pytest.raises(GeometryError):
             HPoint(0.0, 0.0, -1.0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("kind, coords", [
+        (HPoint, (math.nan, 0.0, 1.0)),
+        (HPoint, (math.inf, 0.0, math.inf)),
+        (HLine, (math.nan, 0.0, 0.0)),
+    ], ids=["point-nan", "point-inf", "line-nan"])
+    def test_rejected(self, kind, coords):
+        with pytest.raises(GeometryError):
+            kind(*coords)
 
 
 class TestLineThrough:
@@ -272,7 +284,7 @@ class TestAngleAt:
 
 
 class TestStacked:
-    """dist_pp and angle_at on stacked (..., 3) rows, against one call per row."""
+    """Stacked (..., 3) rows against one call per row, byte for byte."""
 
     def test_rows_match_scalar_calls(self, rng):
         a, b, c = (np.array([random_point(rng, 4.0).vec for _ in range(40)])
@@ -288,6 +300,31 @@ class TestStacked:
         grid = dist_pp(a[:, None, :], c[None, :, :])
         assert grid.shape == (40, 40)
         assert grid[3].tolist() == [dist_pp(a[3], q) for q in c]
+        u = np.array([random_line(rng).vec for _ in range(40)])
+        for p, q in ((a, c), (a, u), (u, u)):
+            assert mink(p, q).tolist() == [mink(x, y) for x, y in zip(p, q)]
+        assert mink(a, X1).tolist() == [mink(x, X1) for x in a]
+        assert mink(a[:, None, :], u[None, :, :])[5].tolist() == [mink(a[5], y) for y in u]
+        for chart in ("klein", "poincare"):
+            xy = hyperboloid_to_chart(a, chart)
+            assert xy.tolist() == [list(hyperboloid_to_chart(p, chart)) for p in a]
+            assert hyperboloid_to_chart(a.reshape(4, 10, 3), chart).tolist() == \
+                xy.reshape(4, 10, 2).tolist()
+
+    def test_sheet_rows_keep_evaluation_order(self, rng):
+        def one_row(v):  # t^2 - x^2 - y^2 in this order, then the upper sheet
+            r = v / math.sqrt(v[2] * v[2] - v[0] * v[0] - v[1] * v[1])
+            return (-r if r[2] < 0.0 else r).tolist()
+
+        w = np.array([random_point(rng, 4.0).vec for _ in range(40)])
+        w *= rng.uniform(0.1, 10.0, size=(40, 1))
+        w[::3] *= -1.0  # lower sheet
+        rows = to_sheet(w)
+        assert rows.tolist() == [one_row(v) for v in w]
+        assert rows.tolist() == [unit_timelike(v).vec.tolist() for v in w]
+        w[7] = [1.0, 0.0, 0.5]  # spacelike
+        with pytest.raises(GeometryError):
+            to_sheet(w)
 
     def test_bad_row_raises(self, rng):
         a = np.array([random_point(rng).vec for _ in range(5)])
@@ -302,6 +339,12 @@ class TestStacked:
 
 
 class TestCharts:
+    def test_polar_point(self):
+        p = polar_point(1.3, 0.4)
+        assert dist_pp(p, ORIGIN) == pytest.approx(1.3, abs=1e-14)
+        x, y = hyperboloid_to_chart(p, "klein")
+        assert math.atan2(y, x) == pytest.approx(0.4, abs=1e-15)
+
     def test_origin(self):
         for chart in ("klein", "poincare"):
             p = chart_to_hyperboloid(0.0, 0.0, chart)

@@ -30,6 +30,13 @@ class TestParse:
             parse_polygon('{"model":"poincare","vertices":[[0.9,0.9],[0,0.1],[0.1,0]]}')
         assert "vertices[0]" in str(exc.value)
 
+    def test_integer_beyond_float_range_rejected(self):
+        huge = "1" * 400
+        with pytest.raises(SchemaError) as exc:
+            parse_polygon_file('{"model":"klein","vertices":[[0.3,0],[' + huge
+                               + ',0.26],[-0.15,-0.26]]}')
+        assert "vertices[1]" in str(exc.value)
+
     def test_bad_json_reports_line(self):
         with pytest.raises(SchemaError) as exc:
             parse_polygon('{"model": "klein",\n "vertices": [[0.1, ]]}')

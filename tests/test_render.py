@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from hypwidth.errors import EvenGon
+from hypwidth.errors import EvenGon, GeometryError
 from hypwidth.extremal import rhombus
 from hypwidth.hcore import hyperboloid_to_chart
 from hypwidth.render import (RenderSpec, VIEWBOX, _poincare_circle,
@@ -103,6 +103,10 @@ class TestRenderSvg:
         V = regular_ngon(7, 0.9)
         spec = RenderSpec(chart="poincare", show_feet=True)
         assert render_svg(V, spec) == render_svg(V, spec)
+
+    def test_unknown_chart_rejected(self):
+        with pytest.raises(GeometryError, match="unknown chart 'halfplane'"):
+            render_svg(regular_ngon(5, 1.0), RenderSpec(chart="halfplane"))
 
     def test_even_gon_feet_rejected(self):
         with pytest.raises(EvenGon):

@@ -13,7 +13,8 @@ from hypwidth.reduced import regular_apothem, regular_ngon
 from hypwidth.width import (diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
 from polygon_families import jittered_circle_polygon, squashed_hull
-from test_acceptance_oracles import brute_thickness, dense_thickness, oracle_diameter
+from test_acceptance_oracles import (brute_thickness, dense_thickness, oracle_diameter,
+                                     slerp_normal)
 
 
 def altitude(R, n):
@@ -82,6 +83,35 @@ class TestWidthUltraparallelOracle:
         V = regular_ngon(5, 1.0)
         with pytest.raises(NotSupporting):
             width_ultraparallel_oracle(V, HLine(0.0, 1.0, 0.0))
+
+
+class TestPencilLine:
+    @staticmethod
+    def worst_gap(V, s_values):
+        worst = 0.0
+        for i in range(V.n):
+            u0, u1 = side_line(V, i - 1).vec, side_line(V, i).vec
+            for s in s_values:
+                want = slerp_normal(u0, u1, s)
+                gap = np.max(np.abs(pencil_line(V, i, s).vec - want)) / np.max(np.abs(want))
+                worst = max(worst, float(gap))
+        return worst
+
+    def test_matches_arc_interpolation(self):
+        rng = np.random.default_rng(11)
+        s_values = [0.0, 0.1, 0.37, 0.5, 0.83, 1.0]
+        polys = [random_convex_polygon(rng, int(rng.integers(3, 10))) for _ in range(40)]
+        polys += [squashed_hull(rng) for _ in range(20)]
+        polys += [regular_ngon(n, 1.0) for n in (3, 5, 31, 101, 1001)]
+        assert max(self.worst_gap(V, s_values) for V in polys) <= 1e-14
+
+    def test_ends_are_side_normals(self):
+        rng = np.random.default_rng(12)
+        for V in [random_convex_polygon(rng, 7), squashed_hull(rng), regular_ngon(101, 1.0)]:
+            for i in range(V.n):
+                for s, side in ((0.0, i - 1), (1.0, i)):
+                    u = side_line(V, side).vec
+                    assert np.max(np.abs(pencil_line(V, i, s).vec - u)) <= 1e-14 * np.max(np.abs(u))
 
 
 class TestThickness:
