@@ -27,7 +27,8 @@ from .errors import GeometryError
 
 _EPS = float(np.finfo(float).eps)
 
-# (p * q) @ MINK_DIAG is B(p, q) = (px*qx + py*qy) - pt*qt, row by row.
+# The metric diagonal: scaling the rows of a matrix by it turns the matrix
+# product into the form.
 MINK_DIAG = np.array([1.0, 1.0, -1.0])
 MINK_DIAG.flags.writeable = False
 
@@ -56,8 +57,13 @@ def _vec3(obj, stacked: bool = False) -> np.ndarray:
 
 
 def mink(p, q):
-    """Minkowski bilinear form B(p, q) = px*qx + py*qy - pt*qt, one per stacked row."""
-    f = (_vec3(p, stacked=True) * _vec3(q, stacked=True)) @ MINK_DIAG
+    """Minkowski bilinear form B(p, q) = (px*qx + py*qy) - pt*qt, one per stacked row.
+
+    The evaluation order is the one written; far from the origin the rounding
+    of the form depends on it.
+    """
+    pq = _vec3(p, stacked=True) * _vec3(q, stacked=True)
+    f = pq[..., 0] + pq[..., 1] - pq[..., 2]
     return f if isinstance(f, np.ndarray) else float(f)
 
 

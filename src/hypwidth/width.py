@@ -65,24 +65,23 @@ def pencil_line(V: ConvexPolygon, i: int, s: float) -> HLine:
     s = 0 gives the side line ending at vertex i, s = 1 the one starting
     there; interior s touch the polygon at vertex i only.
     """
-    u0, e, omega, _, _ = _pencil_frames(V, i % V.n)
+    u0, e, omega = (a[i % V.n] for a in _pencil_frames(V)[:3])
     return HLine.from_vec(u0 * math.cos(s * omega) + e * math.sin(s * omega))
 
 
-def _pencil_frames(V: ConvexPolygon, i=slice(None)):
-    """The frame (u0, e, omega) of the vertex pencils, with cos and sin of omega.
+def _pencil_frames(V: ConvexPolygon):
+    """The frame (u0, e, omega) of every vertex pencil, with cos and sin of omega.
 
     Row i belongs to vertex i: u0 is the normal of side i-1 and the pencil
-    u0 cos(theta) + e sin(theta) reaches the normal of side i at omega.  i
-    selects the vertices, all of them by default.
+    u0 cos(theta) + e sin(theta) reaches the normal of side i at omega.
     """
-    u1 = V.side_normals[i]
-    u0 = V.side_normals[np.arange(V.n)[i] - 1]
+    u1 = V.side_normals
+    u0 = np.roll(u1, 1, axis=0)
     cos_w = np.clip(mink(u0, u1), -1.0, 1.0)
     omega = np.arccos(cos_w)
     sin_w = np.sin(omega)
     # A straight angle leaves u1 = u0 and nothing to sweep; any finite e does.
-    e = (u1 - cos_w[..., None] * u0) / np.where(sin_w > 0.0, sin_w, 1.0)[..., None]
+    e = (u1 - cos_w[:, None] * u0) / np.where(sin_w > 0.0, sin_w, 1.0)[:, None]
     return u0, e, omega, cos_w, sin_w
 
 

@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from hypwidth.hcore import angle_at, dist_pp, foot, mink, signed_dist, unit_timelike
+from hypwidth.hcore import HLine, angle_at, dist_pp, foot, mink, signed_dist, unit_timelike
 from hypwidth.polygon import ConvexPolygon, side_line
-from hypwidth.width import pencil_line, width_line
+from hypwidth.width import width_line
 
 _J = np.array([1.0, 1.0, -1.0])
 
@@ -33,6 +33,12 @@ def slerp_normal(u0: np.ndarray, u1: np.ndarray, s: float) -> np.ndarray:
     return (u0 * math.sin((1.0 - s) * omega) + u1 * math.sin(s * omega)) / math.sin(omega)
 
 
+def slerp_pencil_line(V: ConvexPolygon, i: int, s: float) -> HLine:
+    """Supporting line at vertex i, interpolated from the normals of sides i-1 and i."""
+    u = V.side_normals
+    return HLine.from_vec(slerp_normal(u[(i - 1) % V.n], u[i % V.n], s))
+
+
 def dense_thickness(V: ConvexPolygon, total_lines: int = 10_000) -> float:
     """Minimum width over a dense sample of the whole supporting family.
 
@@ -45,13 +51,13 @@ def dense_thickness(V: ConvexPolygon, total_lines: int = 10_000) -> float:
     best = math.inf
     for i in range(V.n):
         coarse = np.linspace(0.0, 1.0, per_stage)
-        vals = [width_line(V, pencil_line(V, i, float(s))).width for s in coarse]
+        vals = [width_line(V, slerp_pencil_line(V, i, float(s))).width for s in coarse]
         k = int(np.argmin(vals))
         best = min(best, vals[k])
         lo = coarse[max(k - 1, 0)]
         hi = coarse[min(k + 1, per_stage - 1)]
         for s in np.linspace(lo, hi, per_stage):
-            best = min(best, width_line(V, pencil_line(V, i, float(s))).width)
+            best = min(best, width_line(V, slerp_pencil_line(V, i, float(s))).width)
     return best
 
 

@@ -14,7 +14,7 @@ from hypwidth.width import (diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
 from polygon_families import jittered_circle_polygon, squashed_hull
 from test_acceptance_oracles import (brute_thickness, dense_thickness, oracle_diameter,
-                                     slerp_normal)
+                                     slerp_pencil_line)
 
 
 def altitude(R, n):
@@ -90,9 +90,8 @@ class TestPencilLine:
     def worst_gap(V, s_values):
         worst = 0.0
         for i in range(V.n):
-            u0, u1 = side_line(V, i - 1).vec, side_line(V, i).vec
             for s in s_values:
-                want = slerp_normal(u0, u1, s)
+                want = slerp_pencil_line(V, i, s).vec
                 gap = np.max(np.abs(pencil_line(V, i, s).vec - want)) / np.max(np.abs(want))
                 worst = max(worst, float(gap))
         return worst
