@@ -32,6 +32,10 @@ _EPS = float(np.finfo(float).eps)
 MINK_DIAG = np.array([1.0, 1.0, -1.0])
 MINK_DIAG.flags.writeable = False
 
+# Component gathers of lorentz_cross.
+_CROSS_P = np.array([1, 2, 1])
+_CROSS_Q = np.array([2, 0, 0])
+
 # Absolute floors for invariant checks; they grow with the squared coordinate
 # scale because that is the intrinsic float64 limit of evaluating the form.
 UNIT_NORM_TOL = 1e-12
@@ -188,13 +192,16 @@ def unit_spacelike(v) -> HLine:
 def lorentz_cross(a, b) -> np.ndarray:
     """Bilinear-form-adjusted cross product: B(result, a) = B(result, b) = 0.
 
-    Stacked (..., 3) arrays give one product per row.
+    Stacked (..., 3) arrays give one product per row.  The components are
+    (a1 b2 - a2 b1, a2 b0 - a0 b2, a1 b0 - a0 b1), from two gathers of each
+    of a and b.  ``np.take`` keeps the result C-ordered, as indexing the last
+    axis with an array would not; BLAS products of the result (the side
+    normals in ``extremal.indisk``) round differently in the other order.
     """
     a = _vec3(a, stacked=True)
     b = _vec3(b, stacked=True)
-    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-                     a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1]], axis=-1)
+    return (np.take(a, _CROSS_P, axis=-1) * np.take(b, _CROSS_Q, axis=-1)
+            - np.take(a, _CROSS_Q, axis=-1) * np.take(b, _CROSS_P, axis=-1))
 
 
 def dist_pp(p, q):

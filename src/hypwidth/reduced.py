@@ -9,16 +9,19 @@ members of the family with a damped Gauss-Newton iteration on the (x, y)
 hyperboloid coordinates of the vertices with an exact Jacobian, and
 evaluates the boundary-halving and diameter-bound properties the family
 satisfies.  Each solver step is the minimum-norm solution of the linearised
-system, from a QR factorisation of the transposed Jacobian.  The check, the
-solver's final verdict and the boundary halving share one vectorised
-criterion kernel, built on one computation of every vertex's distance to
-its opposite side line.
+system, from a QR factorisation of the transposed Jacobian.  The line
+search's trial points and the convergence test evaluate the residuals alone;
+the Jacobian is built once per step, from the values the residuals computed
+at the accepted point.  The check, the solver's final verdict and the
+boundary halving share one vectorised criterion kernel, built on one
+computation of every vertex's distance to its opposite side line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .errors import (BracketFailure, EvenGon, GeometryError, LeftFamily,
                      NoConvergence, NonConvex, NotOrdinaryReduced)
 from .hcore import (MINK_DIAG, HPoint, angle_at, dist_pp, hyperboloid_to_chart, lorentz_cross,
                     mink, polar_point, to_sheet)
-from .polygon import ConvexPolygon, line_normals, make_polygon, side_lengths
+from .polygon import ConvexPolygon, line_normals, make_polygon
 from .width import diameter, thickness
 
 REDUCED_TOL = 1e-9
@@ -69,15 +72,16 @@ class ReducednessReport:
     mean_distance: float
 
 
-def _opposite_values(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _opposite_values(pts: np.ndarray, ia: np.ndarray,
+                     ib: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B(v_i, u_i) for every vertex row v_i of an odd cycle, with u_i and its scale.
 
-    u_i is the unit normal of the side opposite vertex i, from row i + (n-1)/2
-    to row i + (n+1)/2, and the scale is the Lorentz norm of the cross
-    product it was divided by (see ``line_normals``).  asinh(B(v_i, u_i)) is
-    the signed distance from v_i to that side line.
+    u_i is the unit normal of the side opposite vertex i, from row ia[i] to
+    row ib[i] (``opposite_side`` of every index), and the scale is the
+    Lorentz norm of the cross product it was divided by (see
+    ``line_normals``).  asinh(B(v_i, u_i)) is the signed distance from v_i to
+    that side line.
     """
-    ia, ib = opposite_side(np.arange(len(pts)), len(pts))
     u, N = line_normals(pts[ia], pts[ib])
     return mink(pts, u), u, N
 
@@ -88,14 +92,16 @@ def _criterion(V: ConvexPolygon, tol: float):
     Returns the distances d_i from each vertex to its opposite side line, the
     feet of those perpendiculars as hyperboloid rows, the feet's Klein-chart
     barycentric margins inside their sides, the spread max d_i - min d_i and
-    the verdict: every margin >= tol and the spread <= tol.
+    the verdict: every margin >= tol and the spread <= tol.  Raises
+    GeometryError unless tol is finite and >= 0.
     """
-    n = V.n
-    s, u, _ = _opposite_values(V.vertex_matrix)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise GeometryError(f"tolerance must be finite and >= 0, got {tol}")
+    ia, ib = opposite_side(np.arange(V.n), V.n)
+    s, u, _ = _opposite_values(V.vertex_matrix, ia, ib)
     dists = np.abs(np.arcsinh(s))
     # The projection v - B(v, u) u is a positive multiple of the foot.
     feet = to_sheet(V.vertex_matrix - s[:, None] * u)
-    ia, ib = opposite_side(np.arange(n), n)
     k = V.klein
     edge = k[ib] - k[ia]
     lam = (np.sum((hyperboloid_to_chart(feet, "klein") - k[ia]) * edge, axis=1)
@@ -182,43 +188,75 @@ def _lift(x: np.ndarray) -> np.ndarray:
     return np.column_stack([xy, np.sqrt(1.0 + xy[:, 0] ** 2 + xy[:, 1] ** 2)])
 
 
-def _system(x: np.ndarray, delta: float, gauge_anchor: np.ndarray,
-            gauge_dir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the solver and their exact Jacobian in the 2n coordinates x.
+class _Frame(NamedTuple):
+    """The parts of the solver's system that stay fixed during one solve.
 
-    x holds the (x, y) hyperboloid coordinates of the vertices.  Residual i
-    is the distance from v_i to the line through the ends a, b of its
-    opposite side minus delta, where B(v_i, u_i) = det(v_i, a, b) / N with N
-    the Lorentz norm of lorentz_cross(a, b).  On the hyperboloid
-    N^2 = B(a, b)^2 - 1, so the gradients in v_i, a and b are cross products
-    plus a multiple of J b or J a (J = diag(1, 1, -1)), chained into x, y
-    through dt/dx = x/t and dt/dy = y/t.  Three gauge equations follow:
-    vertex 0 stays at gauge_anchor and the first edge stays parallel to
-    gauge_dir in (x, y).
+    ia, ib are the ``opposite_side`` index arrays and idx stacks the vertex
+    indices over them; pos holds the flat positions in J of the (x, y)
+    derivatives of residual i in the vertices idx[:, i]; J0 is J with its
+    constant gauge rows filled in.  The three gauge equations keep vertex 0
+    at gauge_anchor and the first edge parallel to gauge_dir in (x, y).
     """
-    v = _lift(x)
-    n = len(v)
-    f, u, N = _opposite_values(v)
-    e = v[1, :2] - v[0, :2]
-    r = np.concatenate([np.abs(np.arcsinh(f)) - delta, v[0, :2] - gauge_anchor,
-                        [e[0] * gauge_dir[1] - e[1] * gauge_dir[0]]])
 
+    ia: np.ndarray
+    ib: np.ndarray
+    idx: np.ndarray
+    pos: np.ndarray
+    J0: np.ndarray
+    gauge_anchor: np.ndarray
+    gauge_dir: np.ndarray
+
+
+def _frame(n: int, gauge_anchor: np.ndarray, gauge_dir: np.ndarray) -> _Frame:
+    """The ``_Frame`` of a solve for an n-gon; an even n raises EvenGon."""
     rows = np.arange(n)
     ia, ib = opposite_side(rows, n)
-    a, b = v[ia], v[ib]
-    c = (f * mink(a, b))[:, None] / N ** 2
-    # lorentz_cross(p, q) * J is the Euclidean cross product of p and q.
-    # Gradients of B(v_i, u_i) in v_i, a_i and b_i, with the vertex index of each.
     idx = np.stack([rows, ia, ib])
-    g = np.stack([u, lorentz_cross(b, v) / N - c * b,
-                  lorentz_cross(v, a) / N - c * a]) * MINK_DIAG
-    p = v[idx]
+    pos = (2 * n * rows + 2 * idx)[..., None] + np.arange(2)
+    J0 = np.zeros((n + 3, 2 * n))
+    J0[n, 0] = J0[n + 1, 1] = 1.0
+    J0[n + 2, :4] = [-gauge_dir[1], gauge_dir[0], gauge_dir[1], -gauge_dir[0]]
+    return _Frame(ia, ib, idx, pos, J0, gauge_anchor, gauge_dir)
+
+
+def _residuals(x: np.ndarray, delta: float, frame: _Frame):
+    """Residuals of the solver in the 2n coordinates x, and what J reuses of them.
+
+    x holds the (x, y) hyperboloid coordinates of the vertices.  Residual i
+    is the distance from v_i to the line through the ends of its opposite
+    side minus delta; the three gauge residuals of ``_Frame`` follow.  The
+    second result holds the lifted vertices v and, from
+    ``_opposite_values``, B(v_i, u_i), the normals u_i and their scales N.
+    """
+    v = _lift(x)
+    f, u, N = _opposite_values(v, frame.ia, frame.ib)
+    e = v[1, :2] - v[0, :2]
+    g = frame.gauge_dir
+    r = np.concatenate([np.abs(np.arcsinh(f)) - delta, v[0, :2] - frame.gauge_anchor,
+                        [e[0] * g[1] - e[1] * g[0]]])
+    return r, (v, f, u, N)
+
+
+def _jacobian(lifted, frame: _Frame) -> np.ndarray:
+    """Exact Jacobian of ``_residuals`` from the values it returned.
+
+    With a, b the ends of the side opposite v_i, B(v_i, u_i) = det(v_i, a, b) / N
+    with N the Lorentz norm of lorentz_cross(a, b).  On the hyperboloid
+    N^2 = B(a, b)^2 - 1, so the gradients in v_i, a and b are cross products
+    plus a multiple of J b or J a (J = diag(1, 1, -1)), chained into x, y
+    through dt/dx = x/t and dt/dy = y/t.
+    """
+    v, f, u, N = lifted
+    p = v[frame.idx]  # v_i, a_i and b_i
+    c = (f * mink(p[1], p[2]))[:, None] / N ** 2
+    # lorentz_cross(p, q) * J is the Euclidean cross product of p and q.
+    # Gradients of B(v_i, u_i) in v_i, a_i and b_i.
+    g = np.concatenate([u[None], lorentz_cross(p[[2, 0]], p[[0, 1]]) / N
+                        - c * p[[2, 1]]]) * MINK_DIAG
     scale = (np.sign(f) / np.sqrt(1.0 + f * f))[:, None]  # d|asinh f| / df
-    J = np.zeros((n + 3, n, 2))
-    J[rows, idx] = scale * (g[..., :2] + g[..., 2:] * p[..., :2] / p[..., 2:])
-    J[n, 0, 0] = J[n + 1, 0, 1] = 1.0
-    J[n + 2, :2] = [[-gauge_dir[1], gauge_dir[0]], [gauge_dir[1], -gauge_dir[0]]]
-    return r, J.reshape(n + 3, 2 * n)
+    J = frame.J0.copy()
+    J.flat[frame.pos] = scale * (g[..., :2] + g[..., 2:] * p[..., :2] / p[..., 2:])
+    return J
 
 
 def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
@@ -229,47 +267,51 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
     Damped Gauss-Newton iteration on the (x, y) hyperboloid coordinates of
     the n vertices, with t = sqrt(1 + x^2 + y^2).  These cover the whole
     plane, so no iterate can leave the chart.  The residuals are the
-    per-vertex distances to the opposite side line minus delta, with the
-    exact Jacobian of ``_system``.  Three gauge equations pin vertex 0 and
+    per-vertex distances to the opposite side line minus delta, with their
+    exact Jacobian (``_jacobian``).  Three gauge equations pin vertex 0 and
     the direction of the first edge to the seed's frame, which removes the
     isometry group; a seed already in the family is returned unchanged up to
-    the rounding of t.  Each step is the minimum-norm solution of the
-    linearised system (``_min_norm_step``), damped by backtracking halving
-    until the residual norm decreases.  Raises NoConvergence when the
-    iteration stalls or the Jacobian is rank deficient, and LeftFamily,
-    naming the vertices whose feet left their sides, when the converged
-    polygon is not ordinary reduced.  An even seed raises EvenGon from
-    ``opposite_side``.
+    the rounding of t, after max_iterations = 0 too.  Each step is the
+    minimum-norm solution of the linearised system (``_min_norm_step``),
+    damped by backtracking halving until the residual norm decreases.  Trial
+    points and the convergence test evaluate the residuals alone; J is built
+    once per step, at the point the step starts from.  Raises GeometryError
+    for max_iterations < 0, NoConvergence when the iteration stalls or the
+    Jacobian is rank deficient, and LeftFamily, naming the vertices whose
+    feet left their sides, when the converged polygon is not ordinary
+    reduced.  An even seed raises EvenGon from ``opposite_side``.
     """
     if not (delta > 0.0) or not math.isfinite(delta):
         raise GeometryError(f"target distance must be positive, got {delta}")
+    if max_iterations < 0:
+        raise GeometryError(f"max_iterations must be >= 0, got {max_iterations}")
 
     x = seed.vertex_matrix[:, :2].reshape(-1).copy()
-    anchor = x[:2].copy()
     d0 = x[2:4] - x[:2]
-    gauge_dir = d0 / np.hypot(d0[0], d0[1])
-    r, J = _system(x, delta, anchor, gauge_dir)
+    frame = _frame(seed.n, x[:2].copy(), d0 / np.hypot(d0[0], d0[1]))
+    r, lifted = _residuals(x, delta, frame)
 
     for _ in range(max_iterations):
         if float(np.max(np.abs(r))) <= residual_tol:
             break
-        step = _min_norm_step(J, r)
+        step = _min_norm_step(_jacobian(lifted, frame), r)
         base = float(np.dot(r, r))
         alpha = 1.0
         while alpha >= 2.0 ** -30:
-            rt, Jt = _system(x + alpha * step, delta, anchor, gauge_dir)
+            rt, lt = _residuals(x + alpha * step, delta, frame)
             if float(np.dot(rt, rt)) < base:
-                x, r, J = x + alpha * step, rt, Jt
+                x, r, lifted = x + alpha * step, rt, lt
                 break
             alpha *= 0.5
         else:
             raise NoConvergence("backtracking line search stalled")
     else:
-        raise NoConvergence(
-            f"residual {float(np.max(np.abs(r))):.3e} after {max_iterations} iterations")
+        worst = float(np.max(np.abs(r)))
+        if worst > residual_tol:
+            raise NoConvergence(f"residual {worst:.3e} after {max_iterations} iterations")
 
     try:
-        P = make_polygon(HPoint(*p) for p in _lift(x).tolist())
+        P = make_polygon(HPoint(*p) for p in lifted[0].tolist())
     except NonConvex as exc:
         raise LeftFamily(f"solution lost convexity: {exc}") from exc
     _, _, margins, spread, verdict = _criterion(P, REDUCED_TOL)
@@ -328,7 +370,10 @@ def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingRepo
     of its opposite side, the segment from v_i to its foot halves the
     perimeter, and beta_i <= alpha_i with equality exactly for triangles.
     Each arc takes its run of (n-1)/2 whole sides as a difference of one
-    cumulative sum of the side lengths.
+    cumulative sum of the side lengths.  The side lengths, both chords and
+    the distance from the near end of each opposite side to the foot come
+    from one stacked ``dist_pp`` call, and alpha and beta from one stacked
+    ``angle_at`` call.
     """
     _, feet, _, _, verdict = _criterion(V, tol)
     if not verdict:
@@ -337,18 +382,19 @@ def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingRepo
     n = V.n
     half = (n - 1) // 2
     m = V.vertex_matrix
-    far = np.roll(m, -(half + 1), axis=0)  # row i is vertex i + (n+1)/2
-    lengths = side_lengths(V)
+    rows = np.arange(n)
+    ia, ib = opposite_side(rows, n)  # ib[i] is vertex i + (n+1)/2
+    nxt = (rows + 1) % n
+    lengths, chord_left, chord_right, near = dist_pp(
+        np.stack([m, m, feet, m[ia]]), np.stack([m[nxt], feet[ib], m[ib], feet]))
     # window[i] is the length of the (n-1)/2 sides that follow vertex i.
-    cum = np.concatenate([[0.0], np.cumsum(lengths + lengths)])
+    cum = np.concatenate([[0.0], np.cumsum(np.concatenate([lengths, lengths]))])
     window = cum[half:half + n] - cum[:n]
 
-    chord_left = dist_pp(m, np.roll(feet, -(half + 1), axis=0))
-    chord_right = dist_pp(feet, far)
-    arc1 = window + dist_pp(np.roll(m, -half, axis=0), feet)
-    arc2 = chord_right + np.roll(window, -(half + 1))
-    alpha = angle_at(np.roll(m, -1, axis=0), m, feet)
-    beta = angle_at(feet, m, far)
+    arc1 = window + near
+    arc2 = chord_right + window[ib]
+    alpha, beta = angle_at(np.stack([m[nxt], feet]), np.stack([m, m]),
+                           np.stack([feet, m[ib]]))
     return HalvingReport(records=tuple(
         HalvingRecord(index=i, chord_left=cl, chord_right=cr, half_perimeter_gap=g,
                       alpha=a, beta=b)

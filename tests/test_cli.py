@@ -151,6 +151,24 @@ class TestExitCodes:
                       "--max-iterations", "1")
         assert code == 3
 
+    def test_zero_iterations_on_converged_seed_is_0(self, capsys, pentagon_file):
+        code, out = run(capsys, "solve", "--seed", pentagon_file, "--delta",
+                        str(1.0 + regular_apothem(5, 1.0)), "--max-iterations", "0")
+        assert code == 0
+        assert parse_polygon(out).n == 5
+
+    def test_negative_iterations_is_2(self, capsys, pentagon_file):
+        code, out = run(capsys, "solve", "--seed", pentagon_file, "--delta", "1",
+                        "--max-iterations", "-1")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_is_2(self, capsys, pentagon_file, tol):
+        code, out = run(capsys, "check-reduced", "--input", pentagon_file, "--tol", tol)
+        assert code == 2
+        assert out == ""
+
     def test_bracket_failure_is_3(self, capsys):
         code, _ = run(capsys, "regular", "--n", "3", "--thickness", "60")
         assert code == 3

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from hypwidth import reduced
 from hypwidth.corpus import perturbed_polygon, random_nonequilateral_triangle
 from hypwidth.errors import (BracketFailure, EvenGon, GeometryError,
-                             LeftFamily, NoConvergence, NotOrdinaryReduced)
+                             LeftFamily, NoConvergence, NotOrdinaryReduced,
+                             NumericalError)
 from hypwidth.hcore import HPoint, apply_isometry, dist_pp, random_isometry
 from hypwidth.polygon import make_polygon, perimeter, side_lengths
-from hypwidth.reduced import (_min_norm_step, _system, check_ordinary_reduced,
+from hypwidth.reduced import (_frame, _jacobian, _min_norm_step, _residuals,
+                              check_ordinary_reduced,
                               diameter_bound, diameter_within_bound,
                               opposite_side, perimeter_halving,
                               regular_apothem, regular_ngon,
@@ -92,6 +95,15 @@ class TestCheckOrdinaryReduced:
                 assert rec.foot_interior == (m >= 1e-9)
                 assert np.allclose(rec.foot.vec, p.vec, rtol=1e-13, atol=1e-14)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_invalid_tolerance_rejected(self, tol):
+        with pytest.raises(GeometryError, match="tolerance must be finite"):
+            check_ordinary_reduced(regular_ngon_with_thickness(5, 1.0), tol=tol)
+
+    def test_zero_tolerance_allowed(self):
+        rep = check_ordinary_reduced(regular_ngon_with_thickness(5, 1.0), tol=0.0)
+        assert all(r.foot_interior for r in rep.records)
 
 
 class TestRegularNgon:
@@ -193,17 +205,16 @@ class TestSolve:
         cases += [(jittered_circle_polygon(rng, n, 1.0, 2.0), 1.0) for n in (3, 5, 15, 31)]
         for V, delta in cases:
             x = V.vertex_matrix[:, :2].reshape(-1).copy()
-            anchor = x[:2] + 0.01
-            gauge_dir = np.array([0.6, 0.8])
-            _, J = _system(x, delta, anchor, gauge_dir)
+            frame = _frame(V.n, x[:2] + 0.01, np.array([0.6, 0.8]))
+            J = _jacobian(_residuals(x, delta, frame)[1], frame)
             # Steps scale with the polygon, so truncation stays below rounding.
             h = 1e-6 * min(1.0, delta)
             fd = np.empty_like(J)
             for k in range(x.size):
                 step = np.zeros_like(x)
                 step[k] = h
-                fd[:, k] = (_system(x + step, delta, anchor, gauge_dir)[0]
-                            - _system(x - step, delta, anchor, gauge_dir)[0]) / (2.0 * h)
+                fd[:, k] = (_residuals(x + step, delta, frame)[0]
+                            - _residuals(x - step, delta, frame)[0]) / (2.0 * h)
             assert np.max(np.abs(J - fd)) <= 1e-6, (V.n, delta)
 
     def test_min_norm_step_matches_lstsq(self):
@@ -212,7 +223,9 @@ class TestSolve:
             for delta in (0.01, 1.0, 6.0):
                 V = perturbed_polygon(regular_ngon_with_thickness(n, delta), rng)
                 x = V.vertex_matrix[:, :2].reshape(-1).copy()
-                r, J = _system(x, delta, x[:2] + 0.01, np.array([0.6, 0.8]))
+                frame = _frame(n, x[:2] + 0.01, np.array([0.6, 0.8]))
+                r, lifted = _residuals(x, delta, frame)
+                J = _jacobian(lifted, frame)
                 step = _min_norm_step(J, r)
                 ref, *_ = np.linalg.lstsq(J, -r, rcond=None)
                 scale = np.linalg.norm(ref)
@@ -223,10 +236,85 @@ class TestSolve:
         # A zero gauge direction zeroes the last row of J.
         V = perturbed_polygon(regular_ngon_with_thickness(5, 1.0), np.random.default_rng(0))
         x = V.vertex_matrix[:, :2].reshape(-1).copy()
-        r, J = _system(x, 1.0, x[:2], np.zeros(2))
+        frame = _frame(V.n, x[:2], np.zeros(2))
+        r, lifted = _residuals(x, 1.0, frame)
+        J = _jacobian(lifted, frame)
         assert not J[-1].any()
         with pytest.raises(NoConvergence):
             _min_norm_step(J, r)
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        """Log each residual evaluation (with its squared norm) and Jacobian build."""
+        events = []
+        residuals, jacobian = reduced._residuals, reduced._jacobian
+
+        def counted_residuals(*args):
+            r, lifted = residuals(*args)
+            events.append(("r", float(np.dot(r, r)), lifted))
+            return r, lifted
+
+        def counted_jacobian(lifted, frame):
+            events.append(("J", None, lifted))
+            return jacobian(lifted, frame)
+
+        monkeypatch.setattr(reduced, "_residuals", counted_residuals)
+        monkeypatch.setattr(reduced, "_jacobian", counted_jacobian)
+        return events
+
+    @pytest.mark.parametrize("n, rng_seed, rejected", [(5, 0, 0), (31, 3, 2)])
+    def test_jacobian_built_once_per_step(self, monkeypatch, n, rng_seed, rejected):
+        # The second draw converges after two rejected trials to a polygon
+        # whose feet leave their sides.
+        events = self._count_evaluations(monkeypatch)
+        reg = regular_ngon_with_thickness(n, 1.0)
+        seed = perturbed_polygon(reg, np.random.default_rng(rng_seed))
+        try:
+            S = solve_ordinary_reduced(seed, 1.0)
+        except LeftFamily:
+            S = None
+        # Replay the line search: after the seed's residuals, each step builds J
+        # at the last accepted point, then evaluates residuals alone at trial
+        # points until the squared norm drops below the accepted one.
+        kind, base, accepted = events[0]
+        assert kind == "r"
+        steps = trials = 0
+        searching = False
+        for kind, norm2, lifted in events[1:]:
+            if kind == "J":
+                assert not searching and lifted is accepted
+                steps += 1
+                searching = True
+            else:
+                assert searching
+                trials += 1
+                if norm2 < base:
+                    base, accepted, searching = norm2, lifted, False
+        assert not searching
+        assert steps > 0 and trials == steps + rejected
+        assert sum(k == "J" for k, _, _ in events) == steps
+        assert sum(k == "r" for k, _, _ in events) == 1 + trials
+        # The polygon is built from the last accepted lift.
+        assert S is None or S.vertex_matrix.tolist() == accepted[0].tolist()
+
+    def test_seed_in_family_builds_no_jacobian(self, monkeypatch):
+        events = self._count_evaluations(monkeypatch)
+        solve_ordinary_reduced(regular_ngon_with_thickness(5, 1.0), 1.0)
+        assert [k for k, _, _ in events] == ["r"]
+
+    def test_zero_iterations_accepts_converged_seed(self):
+        V = regular_ngon_with_thickness(5, 1.0)
+        S = solve_ordinary_reduced(V, 1.0, max_iterations=0)
+        assert S.vertex_matrix.tolist() == solve_ordinary_reduced(V, 1.0).vertex_matrix.tolist()
+
+    def test_zero_iterations_on_unsolved_seed_raises(self):
+        seed = perturbed_polygon(regular_ngon_with_thickness(5, 1.0), np.random.default_rng(0))
+        with pytest.raises(NoConvergence, match="after 0 iterations"):
+            solve_ordinary_reduced(seed, 1.0, max_iterations=0)
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(GeometryError, match="max_iterations"):
+            solve_ordinary_reduced(regular_ngon_with_thickness(5, 1.0), 1.0, max_iterations=-1)
 
     def test_nearly_rank_deficient_jacobian_raises(self):
         # Two equal rows leave R a diagonal entry at rounding level, which
@@ -251,6 +339,28 @@ class TestSolve:
         assert check_ordinary_reduced(S).verdict
         assert max(abs(r.half_perimeter_gap) for r in perimeter_halving(S).records) <= 1e-8
         assert diameter_within_bound(S)
+
+
+    def test_outcome_grid_floor(self):
+        # Solved draws per (n, delta) cell out of 10 perturbed_polygon draws from
+        # default_rng(12345): 313 of 360 in total, every other draw LeftFamily.
+        floor = {31: {0.01: 3, 0.1: 3, 1.0: 0, 3.0: 10, 6.0: 10, 10.0: 10},
+                 51: {0.01: 0, 0.1: 0, 1.0: 8, 3.0: 9, 6.0: 10, 10.0: 10}}
+        low = []
+        for n in (3, 5, 9, 15, 31, 51):
+            for delta in (0.01, 0.1, 1.0, 3.0, 6.0, 10.0):
+                reg = regular_ngon_with_thickness(n, delta)
+                rng = np.random.default_rng(12345)
+                solved = 0
+                for _ in range(10):
+                    try:
+                        solve_ordinary_reduced(perturbed_polygon(reg, rng), delta)
+                    except NumericalError:
+                        continue
+                    solved += 1
+                if solved < floor.get(n, {}).get(delta, 10):
+                    low.append((n, delta, solved))
+        assert not low
 
 
 class TestPerturbedPolygon:
@@ -293,6 +403,11 @@ class TestPerimeterHalving:
             assert r.chord_left == pytest.approx(r.chord_right, abs=1e-8)
             assert abs(r.half_perimeter_gap) <= 1e-8 * max(1.0, half)
             assert r.beta < r.alpha
+
+    def test_nan_tolerance_is_invalid_not_unreduced(self):
+        with pytest.raises(GeometryError, match="tolerance must be finite") as info:
+            perimeter_halving(regular_ngon_with_thickness(5, 1.0), tol=math.nan)
+        assert not isinstance(info.value, NotOrdinaryReduced)
 
     def test_rejects_non_reduced(self, rng):
         T = random_nonequilateral_triangle(rng)
