@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import GeometryError, NonConvex
+from .errors import GeometryError, NoConvergence, NonConvex
 from .hcore import chart_to_hyperboloid, geodesic_point, polar_point, signed_dist
 from .polygon import ConvexPolygon, make_polygon, side_line
 
@@ -64,7 +64,8 @@ def perturbed_polygon(V: ConvexPolygon, rng: np.random.Generator,
     Each vertex at distance rho from the chart origin moves to distance
     rho * (1 + radial * u) with u uniform in [-1, 1]; angular scales the
     angle jitter as a fraction of the mean angular spacing.  Retries with
-    shrinking magnitude until the result is convex.
+    shrinking magnitude until the result is convex, and raises NoConvergence
+    when no retry is.
     """
     m = V.vertex_matrix
     rho = np.arcsinh(np.hypot(m[:, 0], m[:, 1]))
@@ -77,7 +78,7 @@ def perturbed_polygon(V: ConvexPolygon, rng: np.random.Generator,
             return make_polygon([polar_point(r, t) for r, t in zip(rr, tt)])
         except NonConvex:
             continue
-    raise GeometryError("perturbation kept breaking convexity")
+    raise NoConvergence("perturbation kept breaking convexity")
 
 
 def clip_vertex_cap(V: ConvexPolygon, k: int, depth: float) -> ConvexPolygon:

@@ -29,6 +29,9 @@ from .width import diameter, thickness
 log = logging.getLogger(__name__)
 
 DISK_TOL = 1e-9
+# How far a non-regular diameter may fall below the regular one of its cell
+# before ratio_scan logs it as a finding.
+SCAN_DIAMETER_TOL = 1e-9
 
 
 def circumdisk(V: ConvexPolygon) -> tuple[HPoint, float]:
@@ -158,8 +161,9 @@ def ratio_scan(ns: Sequence[int], deltas: Sequence[float], perturbations: int = 
 
     For each (n, delta) the regular polygon of that thickness is scanned,
     followed by ``perturbations`` solver-generated non-regular ordinary
-    reduced polygons seeded from jittered copies of it.  Solver failures are
-    logged and skipped without aborting the scan; whether non-regular
+    reduced polygons seeded from jittered copies of it.  A seed that cannot
+    be drawn or solved is logged and skipped without aborting the scan, so a
+    cell can hold fewer than 1 + perturbations rows; whether non-regular
     diameters exceed the regular one is logged as evidence.
     """
     rng = np.random.default_rng(rng_seed)
@@ -179,7 +183,7 @@ def ratio_scan(ns: Sequence[int], deltas: Sequence[float], perturbations: int = 
                     continue
                 row = _scan_row(sol, n, pid)
                 rows.append(row)
-                if row.diameter < reg_row.diameter - 1e-9:
+                if row.diameter < reg_row.diameter - SCAN_DIAMETER_TOL:
                     log.warning(
                         "finding: non-regular diameter %.12g below regular %.12g (%s)",
                         row.diameter, reg_row.diameter, pid)

@@ -6,8 +6,9 @@ derived from the bilinear form B(p, q) = px*qx + py*qy - pt*qt.  The metric
 diagonal, the sheet normalisation and the disk-chart formulas live here only.
 ``mink``, ``to_sheet``, ``hyperboloid_to_chart``, ``lorentz_cross``,
 ``dist_pp`` and ``angle_at`` also take stacked (..., 3) rows, one result per
-row.  All functions are pure and all value types are immutable, so everything
-here is safe to call concurrently.
+row, and ``angle_from_sides`` takes arrays of side lengths.  All functions are
+pure and all value types are immutable, so everything here is safe to call
+concurrently.
 
 Far from the origin the form evaluates with catastrophic cancellation
 (coordinates grow like cosh of the distance), so the unit-norm tolerances are
@@ -147,6 +148,20 @@ class HLine:
         return self
 
 
+def lines_from_normals(u) -> tuple[HLine, ...]:
+    """One validated HLine per row of an (n, 3) array of unit line normals.
+
+    The rows are copied once into a read-only array, and each line's vec is
+    its row of that copy, so reading vec builds no array.
+    """
+    rows = np.array(u, dtype=float)
+    rows.flags.writeable = False
+    lines = tuple(HLine(*r) for r in rows.tolist())
+    for line, r in zip(lines, rows):
+        line.__dict__["vec"] = r  # where the cached property keeps its value
+    return lines
+
+
 @dataclass(frozen=True)
 class LineRelation:
     """Mutual position of two geodesics.
@@ -272,14 +287,20 @@ def _cosh_minus_one(d):
 def angle_at(a, b, c):
     """Interior angle at b of the geodesic triangle a, b, c.
 
-    Uses the hyperbolic law of cosines for sides, rearranged through
-    cosh(x) - 1 terms so that the angle stays accurate for very small
-    triangles.  Stacked (..., 3) arrays give an array of one angle per row,
-    and raise if any row has b coincident with a or c.
+    Stacked (..., 3) arrays give an array of one angle per row, and raise if
+    any row has b coincident with a or c.
     """
-    la = dist_pp(b, a)
-    lc = dist_pp(b, c)
-    lb = dist_pp(a, c)
+    return angle_from_sides(dist_pp(b, a), dist_pp(b, c), dist_pp(a, c))
+
+
+def angle_from_sides(la, lc, lb):
+    """Angle between the sides of lengths la and lc of a geodesic triangle.
+
+    lb is the length of the third side, opposite the angle.  Uses the
+    hyperbolic law of cosines for sides, rearranged through cosh(x) - 1
+    terms so that the angle stays accurate for very small triangles.  Arrays
+    give one angle per entry, and raise if any la or lc is (nearly) zero.
+    """
     if np.any(np.minimum(la, lc) < 1e-12):
         raise GeometryError("angle undefined for coincident points")
     ha = _cosh_minus_one(la)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonConvex, TooFewVertices
 from .hcore import (MINK_DIAG, HLine, HPoint, angle_at, dist_pp, hyperboloid_to_chart,
-                    lorentz_cross, mink)
+                    lines_from_normals, lorentz_cross, mink)
 
 # Strict left-turn threshold on Klein-chart cross products.
 CONVEXITY_TOL = 1e-12
@@ -73,6 +73,11 @@ class ConvexPolygon:
         w, _ = line_normals(m, np.roll(m, -1, axis=0))
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def side_lines(self) -> tuple[HLine, ...]:
+        """The side lines; each one's vec equals its row of side_normals."""
+        return lines_from_normals(self.side_normals)
 
 
 def line_normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +146,7 @@ def side_line(V: ConvexPolygon, j: int) -> HLine:
 
     Oriented so that the polygon interior has positive signed distance.
     """
-    u = V.side_normals[j % V.n]
-    return HLine(u[0], u[1], u[2])
+    return V.side_lines[j % V.n]
 
 
 def contains(V: ConvexPolygon, p: HPoint) -> bool:

@@ -52,13 +52,12 @@ def parse_polygon_file(text: str) -> PolygonFile:
     width = 3 if model == "hyperboloid" else 2
     rows = []
     for i, row in enumerate(verts):
-        if (not isinstance(row, list) or len(row) != width
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                           for c in row)):
+        # JSON numbers decode to exactly int or float, and true/false to bool.
+        if type(row) is not list or len(row) != width or not set(map(type, row)) <= {int, float}:
             raise SchemaError(
                 f"field 'vertices[{i}]': expected {width} numbers for model {model!r}")
         try:
-            rows.append(tuple(float(c) for c in row))
+            rows.append(tuple(map(float, row)))
         except OverflowError as exc:
             raise SchemaError(f"field 'vertices[{i}]': {exc}") from exc
     metadata = doc.get("metadata", {})

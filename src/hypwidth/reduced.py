@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import (BracketFailure, EvenGon, GeometryError, LeftFamily,
                      NoConvergence, NonConvex, NotOrdinaryReduced)
-from .hcore import (MINK_DIAG, HPoint, angle_at, dist_pp, hyperboloid_to_chart, lorentz_cross,
-                    mink, polar_point, to_sheet)
+from .hcore import (MINK_DIAG, HPoint, angle_from_sides, dist_pp, hyperboloid_to_chart,
+                    lorentz_cross, mink, polar_point, to_sheet)
 from .polygon import ConvexPolygon, line_normals, make_polygon
 from .width import diameter, thickness
 
@@ -370,10 +370,10 @@ def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingRepo
     of its opposite side, the segment from v_i to its foot halves the
     perimeter, and beta_i <= alpha_i with equality exactly for triangles.
     Each arc takes its run of (n-1)/2 whole sides as a difference of one
-    cumulative sum of the side lengths.  The side lengths, both chords and
-    the distance from the near end of each opposite side to the foot come
-    from one stacked ``dist_pp`` call, and alpha and beta from one stacked
-    ``angle_at`` call.
+    cumulative sum of the side lengths.  Every distance, from the side
+    lengths and both chords to the three sides of each angle's triangle,
+    comes from one stacked ``dist_pp`` call, and ``angle_from_sides`` turns
+    them into alpha and beta.
     """
     _, feet, _, _, verdict = _criterion(V, tol)
     if not verdict:
@@ -385,16 +385,17 @@ def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingRepo
     rows = np.arange(n)
     ia, ib = opposite_side(rows, n)  # ib[i] is vertex i + (n+1)/2
     nxt = (rows + 1) % n
-    lengths, chord_left, chord_right, near = dist_pp(
-        np.stack([m, m, feet, m[ia]]), np.stack([m[nxt], feet[ib], m[ib], feet]))
+    lengths, chord_left, chord_right, near, to_foot, next_foot, to_far = dist_pp(
+        np.stack([m, m, feet, m[ia], m, m[nxt], m]),
+        np.stack([m[nxt], feet[ib], m[ib], feet, feet, feet, m[ib]]))
     # window[i] is the length of the (n-1)/2 sides that follow vertex i.
     cum = np.concatenate([[0.0], np.cumsum(np.concatenate([lengths, lengths]))])
     window = cum[half:half + n] - cum[:n]
 
     arc1 = window + near
     arc2 = chord_right + window[ib]
-    alpha, beta = angle_at(np.stack([m[nxt], feet]), np.stack([m, m]),
-                           np.stack([feet, m[ib]]))
+    alpha = angle_from_sides(lengths, to_foot, next_foot)
+    beta = angle_from_sides(to_foot, to_far, chord_right)
     return HalvingReport(records=tuple(
         HalvingRecord(index=i, chord_left=cl, chord_right=cr, half_perimeter_gap=g,
                       alpha=a, beta=b)

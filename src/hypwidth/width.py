@@ -146,16 +146,19 @@ def _oriented_support_values(V: ConvexPolygon, L: HLine) -> np.ndarray:
 
     Returned values are flipped to the nonnegative side.  Raises
     NotSupporting when vertices lie strictly on both sides or none touches
-    the line.
+    the line.  The extreme values decide all three: the vertices lie on the
+    positive side when the minimum is >= -SUPPORT_TOL, else on the negative
+    side when the maximum is <= SUPPORT_TOL, and one touches the line when
+    the oriented minimum (minus the maximum, after a flip) is <= SUPPORT_TOL.
+    A NaN value fails both side tests.
     """
     b = V.mink_rows @ L.vec
-    if np.all(b >= -SUPPORT_TOL):
-        pass
-    elif np.all(b <= SUPPORT_TOL):
-        b = -b
-    else:
-        raise NotSupporting("polygon has vertices strictly on both sides of the line")
-    if float(np.min(b)) > SUPPORT_TOL:
+    low, high = b.min(), b.max()
+    if not low >= -SUPPORT_TOL:
+        if not high <= SUPPORT_TOL:
+            raise NotSupporting("polygon has vertices strictly on both sides of the line")
+        b, low = -b, -high
+    if low > SUPPORT_TOL:
         raise NotSupporting("no polygon vertex touches the line")
     return b
 
@@ -164,10 +167,10 @@ def width_line(V: ConvexPolygon, L: HLine) -> WidthReport:
     """Width of V determined by the supporting line L.
 
     For a polygon the farthest point from L is always a vertex, so this is a
-    maximum of vertex distances.
+    maximum of vertex distances; ties go to the lowest index.
     """
     b = _oriented_support_values(V, L)
-    k = int(np.argmax(b))
+    k = int(b.argmax())
     return WidthReport(line=L, width=math.asinh(float(b[k])), farthest_vertex_index=k)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypwidth.corpus import perturbed_polygon, random_convex_polygon
-from hypwidth.errors import EvenGon
+from hypwidth.errors import EvenGon, NumericalError
 from hypwidth.extremal import ScanRow, circumdisk, indisk, ratio_scan, rhombus
 from hypwidth.hcore import (HPoint, apply_isometry, dist_pp, random_isometry,
                             signed_dist, unit_timelike)
@@ -206,3 +206,13 @@ class TestRatioScan:
             rows = ex.ratio_scan([5], [1.0], perturbations=2, rng_seed=1)
         assert len(rows) == 1  # only the regular row survives
         assert any("skipping" in rec.message for rec in caplog.records)
+
+    def test_undrawable_seed_skipped_not_raised(self, caplog):
+        # From n = 81 at delta = 1 every perturbation of rng_seed 0 breaks convexity.
+        with pytest.raises(NumericalError):
+            perturbed_polygon(regular_ngon_with_thickness(81, 1.0), np.random.default_rng(0))
+        with caplog.at_level(logging.WARNING, logger="hypwidth.extremal"):
+            rows = ratio_scan([81], [1.0], perturbations=1)
+        assert [r.polygon_id for r in rows] == ["regular-n81-d1"]
+        assert [rec.message for rec in caplog.records if "skipping" in rec.message] == [
+            "skipping perturbed-n81-d1-00: perturbation kept breaking convexity"]

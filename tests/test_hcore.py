@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from hypwidth.errors import GeometryError
 from hypwidth.hcore import (ASYMPTOTIC, COINCIDENT, HLine, HPoint,
                             INTERSECTING, ULTRAPARALLEL, angle_at,
-                            apply_isometry, chart_to_hyperboloid, dist_pp,
-                            foot, geodesic_point, hyperboloid_to_chart,
-                            line_relation, line_through, lorentz_cross, mink,
-                            polar_point, random_isometry, rotation,
-                            signed_dist, to_sheet, translation_x,
+                            angle_from_sides, apply_isometry,
+                            chart_to_hyperboloid, dist_pp, foot,
+                            geodesic_point, hyperboloid_to_chart,
+                            line_relation, line_through, lines_from_normals,
+                            lorentz_cross, mink, polar_point, random_isometry,
+                            rotation, signed_dist, to_sheet, translation_x,
                             unit_spacelike, unit_timelike)
 
 ORIGIN = HPoint(0.0, 0.0, 1.0)
@@ -138,6 +139,22 @@ class TestLineThrough:
     def test_coincident_points_rejected(self):
         with pytest.raises(GeometryError):
             line_through(ORIGIN, ORIGIN)
+
+
+class TestLinesFromNormals:
+    def test_vec_is_a_read_only_copy_of_the_row(self, rng):
+        u = np.array([random_line(rng).vec for _ in range(6)])
+        lines = lines_from_normals(u)
+        want = u.copy()
+        u[:] = 0.0  # the lines keep their own copy
+        for L, row in zip(lines, want):
+            assert L.vec.tobytes() == row.tobytes() == HLine(*row).vec.tobytes()
+            assert (L.ux, L.uy, L.ut) == tuple(row)
+            assert not L.vec.flags.writeable
+
+    def test_rows_validated(self):
+        with pytest.raises(GeometryError):
+            lines_from_normals([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
 
 
 class TestLorentzCross:
@@ -281,6 +298,18 @@ class TestAngleAt:
     def test_coincident_points_rejected(self):
         with pytest.raises(GeometryError):
             angle_at(ORIGIN, ORIGIN, X1)
+
+    def test_from_sides_is_angle_at(self, rng):
+        for _ in range(50):
+            a, b, c = (random_point(rng, 4.0) for _ in range(3))
+            want = angle_at(a, b, c)
+            got = angle_from_sides(dist_pp(b, a), dist_pp(b, c), dist_pp(a, c))
+            assert got.hex() == want.hex()
+
+    def test_from_sides_rejects_zero_side(self):
+        for la, lc in ((0.0, 1.0), (1.0, 1e-13), (np.array([1.0, 0.0]), np.ones(2))):
+            with pytest.raises(GeometryError, match="coincident"):
+                angle_from_sides(la, lc, 1.0)
 
 
 class TestStacked:

@@ -138,3 +138,10 @@ class TestSideLineAndContains:
     def test_side_index_wraps(self):
         V = regular_ngon(5, 1.0)
         assert np.allclose(side_line(V, 7).vec, side_line(V, 2).vec)
+
+    def test_side_line_is_side_normal_bit_for_bit(self, rng):
+        for V in (random_convex_polygon(rng, 7), regular_ngon(5, 1.0)):
+            for j in range(-2 * V.n, 2 * V.n):
+                u = side_line(V, j).vec
+                assert u.tobytes() == V.side_normals[j % V.n].tobytes()
+                assert not u.flags.writeable

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,41 @@ class TestParse:
             parse_polygon_file('{"model":"klein","vertices":[[0.3,0],[' + huge
                                + ',0.26],[-0.15,-0.26]]}')
         assert "vertices[1]" in str(exc.value)
+
+    @pytest.mark.parametrize("model, rows, text", [
+        ("klein", "[[0.3,0],[0.9,0.9],[2,0]]",
+         "field 'vertices[1]': chart coordinates outside the unit disk: r^2 = 1.62"),
+        ("poincare", "[[0.3,0],[0.1,0.1],[0.6,0.8]]",
+         "field 'vertices[2]': chart coordinates outside the unit disk: "
+         "r^2 = 1.0"),
+        ("klein", "[[0.3,0],[1e200,0],[0.1,0.1]]",
+         "field 'vertices[1]': chart coordinates outside the unit disk: r^2 = inf"),
+        ("poincare", "[[0.3,0],[-Infinity,0],[0.1,0.1]]",
+         "field 'vertices[1]': chart coordinates outside the unit disk: r^2 = inf"),
+        ("klein", "[[0.3,0],[0.1,NaN],[2,0]]",
+         "field 'vertices[1]': point not on the unit hyperboloid: B(p,p)+1 = nan"),
+        ("poincare", "[[0.3,0],[2,0],[0.1,NaN]]",
+         "field 'vertices[1]': chart coordinates outside the unit disk: r^2 = 4.0"),
+        ("hyperboloid", "[[0,0,1],[0.5,0,1],[0,0,-1]]",
+         "field 'vertices[1]': point not on the unit hyperboloid: B(p,p)+1 = 2.500e-01"),
+        ("hyperboloid", "[[0,0,1],[0,0,-1],[0.5,0,1]]",
+         "field 'vertices[1]': point on the lower sheet (t <= 0)"),
+        ("klein", "[[0.3,0],[0.1,\"a\"],[2,0]]",
+         "field 'vertices[1]': expected 2 numbers for model 'klein'"),
+        ("klein", "[[0.3,0],[0.1,0.2],[0.1,0.2,0.3]]",
+         "field 'vertices[2]': expected 2 numbers for model 'klein'"),
+        ("poincare", "[[0.3,0],[0.1,0.2],[true,0.3]]",
+         "field 'vertices[2]': expected 2 numbers for model 'poincare'"),
+        ("klein", "[[0.3,0],[0.1,0.2],[1" + "0" * 400 + ",0.3]]",
+         "field 'vertices[2]': int too large to convert to float"),
+    ])
+    def test_first_bad_vertex_named(self, model, rows, text):
+        doc = '{"model":"%s","vertices":%s}' % (model, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError) as exc:
+                parse_polygon(doc)
+        assert str(exc.value) == text
 
     def test_bad_json_reports_line(self):
         with pytest.raises(SchemaError) as exc:

@@ -6,11 +6,11 @@ import pytest
 from hypwidth.corpus import nested_pair, random_convex_polygon
 from hypwidth.errors import NotSupporting
 from hypwidth.extremal import rhombus
-from hypwidth.hcore import (HLine, apply_isometry, random_isometry,
+from hypwidth.hcore import (HLine, HPoint, apply_isometry, random_isometry,
                             signed_dist)
 from hypwidth.polygon import make_polygon, side_line
 from hypwidth.reduced import regular_apothem, regular_ngon
-from hypwidth.width import (diameter, diameter_via_width, pencil_line,
+from hypwidth.width import (SUPPORT_TOL, diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
 from polygon_families import jittered_circle_polygon, squashed_hull
 from test_acceptance_oracles import (brute_thickness, dense_thickness, oracle_diameter,
@@ -55,6 +55,71 @@ class TestWidthLine:
         d = 2.0
         with pytest.raises(NotSupporting):
             width_line(V, HLine(0.0, math.cosh(d), math.sinh(d)))
+
+
+def x_axis_triangle(y0, y1, y2):
+    """Triangle whose vertices have the y coordinates y0, y1 and y2 exactly.
+
+    Against the x-axis geodesic, normal (0, 1, 0), B(v, u) is v.y itself, so
+    these are the values the support test compares with SUPPORT_TOL.
+    """
+    pts = [(-0.5, y0), (0.5, y1), (0.0, y2)]
+    return make_polygon([HPoint(x, y, math.sqrt(1.0 + x * x + y * y)) for x, y in pts])
+
+
+class TestSupportContract:
+    X_AXIS = HLine(0.0, 1.0, 0.0)
+    BOTH_SIDES = "polygon has vertices strictly on both sides of the line"
+    DETACHED = "no polygon vertex touches the line"
+
+    def test_negated_line_same_width_and_index(self):
+        rng = np.random.default_rng(31)
+        polys = [random_convex_polygon(rng, int(rng.integers(3, 10))) for _ in range(20)]
+        polys += [squashed_hull(rng) for _ in range(5)] + [regular_ngon(7, 1.0)]
+        for V in polys:
+            lines = [side_line(V, j) for j in range(V.n)]
+            lines += [pencil_line(V, i, s) for i in range(V.n) for s in (0.3, 0.7)]
+            for L in lines:
+                flipped = HLine(-L.ux, -L.uy, -L.ut)
+                a, b = width_line(V, L), width_line(V, flipped)
+                assert (a.width, a.farthest_vertex_index) == \
+                       (b.width, b.farthest_vertex_index)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("scale", [0.0, 0.9, 1.0])
+    def test_values_within_tolerance_accepted(self, sign, scale):
+        # One vertex on, one just across, one far on the polygon's side.
+        V = x_axis_triangle(-sign * scale * SUPPORT_TOL, 0.0, sign * 1.0)
+        rep = width_line(V, self.X_AXIS)
+        assert rep.width == math.asinh(1.0)
+        assert V.vertex(rep.farthest_vertex_index).y == sign * 1.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_values_beyond_tolerance_rejected(self, sign):
+        V = x_axis_triangle(-sign * 1.1 * SUPPORT_TOL, 0.0, sign * 1.0)
+        with pytest.raises(NotSupporting, match=self.BOTH_SIDES):
+            width_line(V, self.X_AXIS)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("scale", [0.9, 1.0])
+    def test_touching_within_tolerance_accepted(self, sign, scale):
+        V = x_axis_triangle(sign * scale * SUPPORT_TOL, sign * 0.5, sign * 1.0)
+        assert width_line(V, self.X_AXIS).width == math.asinh(1.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_detached_beyond_tolerance_rejected(self, sign):
+        V = x_axis_triangle(sign * 1.1 * SUPPORT_TOL, sign * 0.5, sign * 1.0)
+        with pytest.raises(NotSupporting, match=self.DETACHED):
+            width_line(V, self.X_AXIS)
+
+    def test_messages(self):
+        V = regular_ngon(5, 1.0)
+        d = 3.0
+        for check in (width_line, width_ultraparallel_oracle):
+            with pytest.raises(NotSupporting, match=self.BOTH_SIDES):
+                check(V, self.X_AXIS)  # through the interior
+            with pytest.raises(NotSupporting, match=self.DETACHED):
+                check(V, HLine(0.0, math.cosh(d), math.sinh(d)))
 
 
 class TestWidthUltraparallelOracle:
