@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from .errors import GeometryError, NoConvergence, NonConvex
-from .hcore import chart_to_hyperboloid, geodesic_point, polar_point, signed_dist
-from .polygon import ConvexPolygon, make_polygon, side_line
+from .hcore import chart_rows_to_hyperboloid, geodesic_point, polar_rows, signed_dist
+from .polygon import ConvexPolygon, make_polygon, polygon_from_rows, side_line
 
 
 def random_convex_polygon(rng: np.random.Generator, n: int,
@@ -24,7 +24,7 @@ def random_convex_polygon(rng: np.random.Generator, n: int,
         angles += rng.uniform(0.0, 2.0 * math.pi)
         radii = rng.uniform(*radius_range, size=n)
         try:
-            return make_polygon([polar_point(r, t) for r, t in zip(radii, angles)])
+            return polygon_from_rows(polar_rows(radii, angles))
         except NonConvex:
             continue
     raise GeometryError("could not draw a convex polygon (bad generator parameters)")
@@ -50,7 +50,7 @@ def nested_pair(rng: np.random.Generator) -> tuple[ConvexPolygon, ConvexPolygon]
         lam = rng.uniform(0.35, 0.8)
         center = W.klein.mean(axis=0)
         shrunk = center + lam * (W.klein - center)
-        U = make_polygon([chart_to_hyperboloid(x, y, "klein") for x, y in shrunk])
+        U = polygon_from_rows(chart_rows_to_hyperboloid(shrunk, "klein"))
     else:
         drop = int(rng.integers(0, n))
         U = make_polygon([W.vertex(i) for i in range(n) if i != drop])
@@ -75,7 +75,7 @@ def perturbed_polygon(V: ConvexPolygon, rng: np.random.Generator,
         rr = rho * (1.0 + scale * radial * rng.uniform(-1.0, 1.0, size=V.n))
         tt = theta + scale * angular * spacing * rng.uniform(-1.0, 1.0, size=V.n)
         try:
-            return make_polygon([polar_point(r, t) for r, t in zip(rr, tt)])
+            return polygon_from_rows(polar_rows(rr, tt))
         except NonConvex:
             continue
     raise NoConvergence("perturbation kept breaking convexity")

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import perturbed_polygon
-from .errors import NumericalError
+from .errors import GeometryError, NumericalError
 from .hcore import MINK_DIAG, HPoint, unit_timelike
 from .polygon import ConvexPolygon, area, make_polygon, perimeter
 from .reduced import regular_ngon_with_thickness, solve_ordinary_reduced
@@ -164,8 +164,11 @@ def ratio_scan(ns: Sequence[int], deltas: Sequence[float], perturbations: int = 
     reduced polygons seeded from jittered copies of it.  A seed that cannot
     be drawn or solved is logged and skipped without aborting the scan, so a
     cell can hold fewer than 1 + perturbations rows; whether non-regular
-    diameters exceed the regular one is logged as evidence.
+    diameters exceed the regular one is logged as evidence.  Raises
+    GeometryError for perturbations < 0.
     """
+    if perturbations < 0:
+        raise GeometryError(f"perturbations must be >= 0, got {perturbations}")
     rng = np.random.default_rng(rng_seed)
     rows: list[ScanRow] = []
     for n in ns:

@@ -6,9 +6,11 @@ derived from the bilinear form B(p, q) = px*qx + py*qy - pt*qt.  The metric
 diagonal, the sheet normalisation and the disk-chart formulas live here only.
 ``mink``, ``to_sheet``, ``hyperboloid_to_chart``, ``lorentz_cross``,
 ``dist_pp`` and ``angle_at`` also take stacked (..., 3) rows, one result per
-row, and ``angle_from_sides`` takes arrays of side lengths.  All functions are
-pure and all value types are immutable, so everything here is safe to call
-concurrently.
+row, and ``angle_from_sides`` takes arrays of side lengths.  ``off_sheet``,
+``chart_rows_to_hyperboloid`` and ``polar_rows`` are the array forms of
+``HPoint``'s validation, ``chart_to_hyperboloid`` and ``polar_point``, with
+the same arithmetic row by row.  All functions are pure and all value types
+are immutable, so everything here is safe to call concurrently.
 
 Far from the origin the form evaluates with catastrophic cancellation
 (coordinates grow like cosh of the distance), so the unit-norm tolerances are
@@ -74,6 +76,20 @@ def mink(p, q):
 
 def _norm_tol(x: float, y: float, t: float) -> float:
     return max(UNIT_NORM_TOL, 64.0 * _EPS * (x * x + y * y + t * t))
+
+
+def off_sheet(a: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 3) array HPoint rejects, by its predicate and tolerance.
+
+    A row fails when |B(p, p) + 1| exceeds the scale-relative tolerance (or
+    is NaN) or when t <= 0.  Rows that overflow fail silently.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = a * a
+        xy = sq[:, 0] + sq[:, 1]
+        err = np.abs(xy - sq[:, 2] + 1.0)
+        tol = np.maximum(UNIT_NORM_TOL, 64.0 * _EPS * (xy + sq[:, 2]))
+        return ~(err <= tol) | (a[:, 2] <= 0.0)
 
 
 @dataclass(frozen=True)
@@ -328,12 +344,27 @@ def chart_to_hyperboloid(x: float, y: float, chart: str) -> HPoint:
     r2 = x * x + y * y
     if r2 >= 1.0:
         raise GeometryError(f"chart coordinates outside the unit disk: r^2 = {r2}")
-    if chart == "klein":
-        d = math.sqrt(1.0 - r2)
-        return HPoint(x / d, y / d, 1.0 / d)
-    if chart == "poincare":
-        s = 1.0 - r2
-        return HPoint(2.0 * x / s, 2.0 * y / s, (1.0 + r2) / s)
+    return HPoint(*chart_rows_to_hyperboloid(np.array([[x, y]]), chart)[0].tolist())
+
+
+def chart_rows_to_hyperboloid(xy: np.ndarray, chart: str) -> np.ndarray:
+    """Lift (n, 2) disk-chart rows to (n, 3) hyperboloid rows, unvalidated.
+
+    Rows outside the open unit disk come out off the upper sheet, NaN or
+    infinite, without a warning, so ``off_sheet`` flags them.
+    """
+    out = np.empty((len(xy), 3))
+    with np.errstate(all="ignore"):
+        sq = xy * xy
+        r2 = sq[:, 0] + sq[:, 1]
+        if chart == "klein":
+            d = np.sqrt(1.0 - r2)[:, None]
+            out[:, :2], out[:, 2:] = xy / d, 1.0 / d
+            return out
+        if chart == "poincare":
+            s = (1.0 - r2)[:, None]
+            out[:, :2], out[:, 2:] = 2.0 * xy / s, (1.0 + r2[:, None]) / s
+            return out
     raise GeometryError(f"unknown chart {chart!r} (expected 'klein' or 'poincare')")
 
 
@@ -346,10 +377,22 @@ def hyperboloid_to_chart(p, chart: str):
     return (float(xy[0]), float(xy[1])) if xy.ndim == 1 else xy
 
 
+def _polar(r: float, theta: float) -> tuple[float, float, float]:
+    sh = math.sinh(r)
+    return sh * math.cos(theta), sh * math.sin(theta), math.cosh(r)
+
+
 def polar_point(r: float, theta: float) -> HPoint:
     """Point at distance r from the chart origin in direction theta."""
-    sh = math.sinh(r)
-    return HPoint(sh * math.cos(theta), sh * math.sin(theta), math.cosh(r))
+    return HPoint(*_polar(r, theta))
+
+
+def polar_rows(r, theta) -> np.ndarray:
+    """(n, 3) rows of polar_point(r_k, theta_k), unvalidated.
+
+    math.sinh and math.cosh raise OverflowError from r = 710.5.
+    """
+    return np.array([_polar(q, t) for q, t in zip(r, theta)], dtype=float).reshape(-1, 3)
 
 
 def rotation(theta: float) -> np.ndarray:

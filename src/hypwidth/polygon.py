@@ -1,7 +1,9 @@
 """Strictly convex polygons over the hyperbolic plane.
 
-Convexity and orientation are tested in the Klein chart, where geodesics map
-to straight chords, so plain planar cross products decide everything.
+A polygon is one read-only (n, 3) matrix of hyperboloid vertex rows,
+validated once in array operations.  Convexity and orientation are tested in
+the Klein chart, where geodesics map to straight chords, so plain planar
+cross products decide everything.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import NonConvex, TooFewVertices
+from .errors import GeometryError, NonConvex, TooFewVertices
 from .hcore import (MINK_DIAG, HLine, HPoint, angle_at, dist_pp, hyperboloid_to_chart,
-                    lines_from_normals, lorentz_cross, mink)
+                    lines_from_normals, lorentz_cross, mink, off_sheet)
 
 # Strict left-turn threshold on Klein-chart cross products.
 CONVEXITY_TOL = 1e-12
@@ -23,20 +25,27 @@ CONVEXITY_TOL = 1e-12
 CONTAINS_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ConvexPolygon:
     """Positively oriented, strictly convex vertex cycle.
 
-    Build instances through :func:`make_polygon`, which validates and
-    normalizes orientation.  Derived arrays are cached per instance; the type
-    is immutable and freely shareable across threads.
+    Build instances through :func:`make_polygon` or :func:`polygon_from_rows`,
+    which validate and normalize orientation.  vertex_matrix holds one
+    read-only hyperboloid row per vertex.  Derived arrays, and the vertices as
+    HPoints, are cached per instance on first use; the type is immutable and
+    freely shareable across threads.  Equality and hashing are those of the
+    tuple of vertex coordinate triples, so -0.0 and 0.0 agree.
     """
 
-    vertices: tuple[HPoint, ...]
+    vertex_matrix: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return self.vertex_matrix.shape[0]
+
+    @cached_property
+    def vertices(self) -> tuple[HPoint, ...]:
+        return tuple(HPoint(*r) for r in self.vertex_matrix.tolist())
 
     def vertex(self, i: int) -> HPoint:
         return self.vertices[i % self.n]
@@ -47,11 +56,16 @@ class ConvexPolygon:
     def __iter__(self) -> Iterator[HPoint]:
         return iter(self.vertices)
 
-    @cached_property
-    def vertex_matrix(self) -> np.ndarray:
-        m = np.array([(v.x, v.y, v.t) for v in self.vertices])
-        m.flags.writeable = False
-        return m
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(np.array_equal(self.vertex_matrix, other.vertex_matrix))
+
+    def __hash__(self) -> int:
+        return hash((tuple(map(tuple, self.vertex_matrix.tolist())),))
+
+    def __repr__(self) -> str:
+        return f"ConvexPolygon(vertices={self.vertices!r})"
 
     @cached_property
     def mink_rows(self) -> np.ndarray:
@@ -93,39 +107,73 @@ def line_normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w / N, N
 
 
-def _turns(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge vectors of the Klein-chart cycle k and each one's cross with the next."""
-    e = np.roll(k, -1, axis=0) - k
-    e_next = np.roll(e, -1, axis=0)
-    return e, e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+def _turns(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge vectors of the Klein-chart cycle k, each one's cross with the next, and
+    the index of each row's successor."""
+    nxt = (np.arange(len(k)) + 1) % len(k)
+    e = k[nxt] - k
+    e_next = e[nxt]
+    return e, e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0], nxt
 
 
 def make_polygon(points: Iterable[HPoint]) -> ConvexPolygon:
-    """Validate a vertex cycle into a ConvexPolygon.
+    """Validate a cycle of HPoints into a ConvexPolygon; its vertices are those points.
 
-    Negatively oriented but convex input is reversed; non-convex input
-    (a right turn, collinear consecutive vertices, or a cycle winding more
-    than once around) is rejected.  The orientation is the common sign of the
-    Klein-chart turn crosses.  Once every turn is strictly left, the winding
-    number is the number of times the edge direction passes from the lower
-    half-plane to the upper one, which sign tests count exactly.
+    Orientation and convexity are checked as in :func:`polygon_from_rows`.
     """
     pts = tuple(points)
-    if len(pts) < 3:
-        raise TooFewVertices(f"need at least 3 vertices, got {len(pts)}")
-    P = ConvexPolygon(pts)
-    e, crosses = _turns(P.klein)
+    return _convex(np.array([(v.x, v.y, v.t) for v in pts]).reshape(-1, 3), pts)
+
+
+def polygon_from_rows(rows) -> ConvexPolygon:
+    """Validate an (n, 3) array of hyperboloid vertex rows into a ConvexPolygon.
+
+    The rows are copied.  Each must pass HPoint's validation; the first one
+    that does not raises HPoint's GeometryError.  Negatively oriented but
+    convex input is reversed; non-convex input (a right turn, collinear
+    consecutive vertices, or a cycle winding more than once around) raises
+    NonConvex.  The orientation is the common sign of the Klein-chart turn
+    crosses.  Once every turn is strictly left, the winding number is the
+    number of times the edge direction passes from the lower half-plane to
+    the upper one, which sign tests count exactly.
+    """
+    m = np.array(rows, dtype=float)
+    if m.ndim != 2 or m.shape[1] != 3:
+        raise GeometryError(f"expected (n, 3) vertex rows, got shape {m.shape}")
+    bad = np.flatnonzero(off_sheet(m))
+    if bad.size:
+        HPoint(*m[bad[0]].tolist())  # raises HPoint's error for that row
+    return _convex(m)
+
+
+def _convex(m: np.ndarray, pts: tuple[HPoint, ...] | None = None) -> ConvexPolygon:
+    """The polygon of validated rows m, after its orientation and convexity checks.
+
+    pts, when given, are the rows as HPoints; they become the vertices.
+    """
+    if m.shape[0] < 3:
+        raise TooFewVertices(f"need at least 3 vertices, got {m.shape[0]}")
+    k = hyperboloid_to_chart(m, "klein")
+    e, crosses, nxt = _turns(k)
     if np.all(crosses < 0.0):
-        P = ConvexPolygon(pts[::-1])
-        e, crosses = _turns(P.klein)
+        m, k = m[::-1].copy(), k[::-1].copy()
+        if pts is not None:
+            pts = pts[::-1]
+        e, crosses, nxt = _turns(k)
     if np.any(crosses <= CONVEXITY_TOL):
         j = int(np.argmin(crosses))
         raise NonConvex(
-            f"vertex triple starting at index {(j + 1) % len(pts)} does not "
+            f"vertex triple starting at index {(j + 1) % m.shape[0]} does not "
             f"turn strictly left (cross = {crosses[j]:.3e})")
     upper = (e[:, 1] > 0.0) | ((e[:, 1] == 0.0) & (e[:, 0] > 0.0))
-    if np.count_nonzero(~upper & np.roll(upper, -1)) != 1:
+    if np.count_nonzero(~upper & upper[nxt]) != 1:
         raise NonConvex("vertex cycle winds around more than once")
+    m.flags.writeable = False
+    k.flags.writeable = False
+    P = ConvexPolygon(m)
+    P.__dict__["klein"] = k  # where the cached properties keep their values
+    if pts is not None:
+        P.__dict__["vertices"] = pts
     return P
 
 

@@ -14,10 +14,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import GeometryError, SchemaError
+import numpy as np
+
+from .errors import GeometryError, NonConvex, SchemaError, TooFewVertices
 from .extremal import ScanRow
-from .hcore import HPoint, chart_to_hyperboloid, hyperboloid_to_chart
-from .polygon import ConvexPolygon, make_polygon
+from .hcore import (HPoint, chart_rows_to_hyperboloid, chart_to_hyperboloid,
+                    hyperboloid_to_chart, off_sheet)
+from .polygon import ConvexPolygon, polygon_from_rows
 
 MODELS = ("hyperboloid", "klein", "poincare")
 
@@ -67,17 +70,30 @@ def parse_polygon_file(text: str) -> PolygonFile:
 
 
 def polygon_from_file(pf: PolygonFile) -> ConvexPolygon:
-    """Lift a parsed document to a validated convex polygon."""
-    pts = []
-    for i, row in enumerate(pf.vertices):
+    """Lift a parsed document to a validated convex polygon.
+
+    All rows lift at once.  When a row does not lift onto the upper sheet (a
+    chart row outside the unit disk lifts off it), the first such row is
+    lifted again on its own, and its error is raised as a SchemaError that
+    names it.
+    """
+    rows = np.array(pf.vertices, dtype=float)
+    m = rows if pf.model == "hyperboloid" else chart_rows_to_hyperboloid(rows, pf.model)
+    try:
+        return polygon_from_rows(m)
+    except (NonConvex, TooFewVertices):
+        raise
+    except GeometryError:  # HPoint's error for a row off the sheet
+        i = int(np.flatnonzero(off_sheet(m))[0])
+        row = pf.vertices[i]
         try:
             if pf.model == "hyperboloid":
-                pts.append(HPoint(*row))
+                HPoint(*row)
             else:
-                pts.append(chart_to_hyperboloid(row[0], row[1], pf.model))
+                chart_to_hyperboloid(row[0], row[1], pf.model)
         except GeometryError as exc:
             raise SchemaError(f"field 'vertices[{i}]': {exc}") from exc
-    return make_polygon(pts)
+        raise
 
 
 def parse_polygon(text: str) -> ConvexPolygon:
@@ -93,13 +109,9 @@ def emit_polygon(V: ConvexPolygon, model: str = "klein", metadata: dict | None =
     """Serialize a polygon to its JSON document form."""
     if model not in MODELS:
         raise GeometryError(f"unknown model {model!r}, expected one of {MODELS}")
-    rows = []
-    for v in V.vertices:
-        if model == "hyperboloid":
-            coords = (v.x, v.y, v.t)
-        else:
-            coords = hyperboloid_to_chart(v, model)
-        rows.append("[" + ", ".join(_fmt(c) for c in coords) + "]")
+    m = V.vertex_matrix
+    coords = m if model == "hyperboloid" else hyperboloid_to_chart(m, model)
+    rows = ["[" + ", ".join(map(_fmt, r)) + "]" for r in coords.tolist()]
     parts = [f'{{"model": "{model}", "vertices": [' + ", ".join(rows) + "]"]
     if metadata:
         parts.append(', "metadata": ' + json.dumps(metadata, sort_keys=True))

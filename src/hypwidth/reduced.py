@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -28,8 +29,8 @@ import numpy as np
 from .errors import (BracketFailure, EvenGon, GeometryError, LeftFamily,
                      NoConvergence, NonConvex, NotOrdinaryReduced)
 from .hcore import (MINK_DIAG, HPoint, angle_from_sides, dist_pp, hyperboloid_to_chart,
-                    lorentz_cross, mink, polar_point, to_sheet)
-from .polygon import ConvexPolygon, line_normals, make_polygon
+                    lorentz_cross, mink, polar_rows, to_sheet)
+from .polygon import ConvexPolygon, line_normals, polygon_from_rows
 from .width import diameter, thickness
 
 REDUCED_TOL = 1e-9
@@ -62,14 +63,46 @@ class VertexProjection:
     interior_margin: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ReducednessReport:
-    """Outcome of the ordinary-reducedness criterion for one polygon."""
+    """Outcome of the ordinary-reducedness criterion for one polygon.
 
-    records: tuple[VertexProjection, ...]
+    records, one VertexProjection per vertex, is built the first time it is
+    read, from the criterion kernel's arrays: the tolerance, then the
+    distances, feet and margins of ``_criterion``.  Equality, hashing and
+    repr are those of (records, verdict, max_distance_spread, mean_distance).
+    """
+
     verdict: bool
     max_distance_spread: float
     mean_distance: float
+    kernel: tuple
+
+    @cached_property
+    def records(self) -> tuple[VertexProjection, ...]:
+        tol, dists, feet, margins = self.kernel
+        n = len(dists)
+        ia, ib = opposite_side(np.arange(n), n)
+        return tuple(VertexProjection(
+            index=i, opposite_side=(a, b), foot=HPoint(*p), distance=d,
+            foot_interior=m >= tol, interior_margin=m)
+            for i, (a, b, p, d, m) in enumerate(zip(
+                ia.tolist(), ib.tolist(), feet.tolist(), dists.tolist(), margins.tolist())))
+
+    def _key(self) -> tuple:
+        return self.records, self.verdict, self.max_distance_spread, self.mean_distance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("ReducednessReport(records={!r}, verdict={!r}, max_distance_spread={!r}, "
+                "mean_distance={!r})".format(*self._key()))
 
 
 def _opposite_values(pts: np.ndarray, ia: np.ndarray,
@@ -120,24 +153,32 @@ def check_ordinary_reduced(V: ConvexPolygon, tol: float = REDUCED_TOL) -> Reduce
     common distance equals the polygon thickness.
     """
     dists, feet, margins, spread, verdict = _criterion(V, tol)
-    ia, ib = opposite_side(np.arange(V.n), V.n)
-    records = tuple(VertexProjection(
-        index=i, opposite_side=(a, b), foot=HPoint(*p), distance=d,
-        foot_interior=m >= tol, interior_margin=m)
-        for i, (a, b, p, d, m) in enumerate(zip(
-            ia.tolist(), ib.tolist(), feet.tolist(), dists.tolist(), margins.tolist())))
-    return ReducednessReport(
-        records=records, verdict=verdict,
-        max_distance_spread=spread, mean_distance=float(dists.mean()))
+    return ReducednessReport(verdict=verdict, max_distance_spread=spread,
+                             mean_distance=float(dists.mean()),
+                             kernel=(tol, dists, feet, margins))
 
 
 def regular_ngon(n: int, R: float) -> ConvexPolygon:
-    """Regular odd n-gon with circumradius R, centered at the chart origin."""
+    """Regular odd n-gon with circumradius R, centered at the chart origin.
+
+    Raises GeometryError unless R is positive and finite, and when the
+    squared vertex coordinates overflow float64 (from about R = 355).
+    """
     if n < 3 or n % 2 == 0:
         raise EvenGon(f"regular construction requires an odd n >= 3, got n = {n}")
     if not (R > 0.0) or not math.isfinite(R):
         raise GeometryError(f"circumradius must be positive and finite, got {R}")
-    return make_polygon(polar_point(R, 2.0 * math.pi * k / n) for k in range(n))
+    try:
+        m = polar_rows([R] * n, [2.0 * math.pi * k / n for k in range(n)])
+    except OverflowError:  # math.sinh and math.cosh, from R = 710.5
+        m = np.full((1, 3), math.inf)
+    with np.errstate(over="ignore"):
+        # x^2 + y^2 + t^2 scales HPoint's tolerance, which must stay finite.
+        overflow = not np.isfinite(np.sum(m * m, axis=1)).all()
+    if overflow:
+        raise GeometryError(f"circumradius {R} is too large: the vertex coordinates "
+                            "overflow float64")
+    return polygon_from_rows(m)
 
 
 def regular_apothem(n: int, R: float) -> float:
@@ -311,7 +352,7 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
             raise NoConvergence(f"residual {worst:.3e} after {max_iterations} iterations")
 
     try:
-        P = make_polygon(HPoint(*p) for p in lifted[0].tolist())
+        P = polygon_from_rows(lifted[0])
     except NonConvex as exc:
         raise LeftFamily(f"solution lost convexity: {exc}") from exc
     _, _, margins, spread, verdict = _criterion(P, REDUCED_TOL)

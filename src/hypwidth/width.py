@@ -16,6 +16,19 @@ hence concave, sinusoid, so the thickness is attained at a pencil end (a side
 line) or at an envelope breakpoint, which a sweep along the envelope visits
 in order; the maximum of a piece is its amplitude sinh d(v_i, v_j) when its
 peak lies inside the pencil, which gives the diameter in closed form.
+
+Each pencil needs only its own range of vertices.  P_j = (a_j, b_j) is
+sinh d(v_i, v_j) times the direction of v_j seen from v_i, in the frame of
+u0 and e, and B(v_j, u(theta)) = <P_j, (cos theta, sin theta)>.  Convexity
+sorts these directions by index across the interior angle at v_i, so the top
+of the envelope walks the convex hull of the P_j monotonically: from f_i =
+argmax_j a_j, the vertex farthest from side i - 1, at theta = 0, to f_{i+1}
+at omega.  No vertex outside the cyclic range from f_i to f_{i+1} reaches
+the envelope inside the pencil, and the sweep and the peaks read only that
+range (rotating calipers, after Toussaint 1983).  The ranges overlap only at
+their ends and go round the cycle once, so their lengths add up to about
+2n, and each is padded to the longest; the n x n products that give a_j,
+b_j and f_i are still formed in full.
 """
 
 from __future__ import annotations
@@ -76,7 +89,7 @@ def _pencil_frames(V: ConvexPolygon):
     u0 cos(theta) + e sin(theta) reaches the normal of side i at omega.
     """
     u1 = V.side_normals
-    u0 = np.roll(u1, 1, axis=0)
+    u0 = u1[np.arange(-1, V.n - 1)]  # row i is side i - 1
     cos_w = np.clip(mink(u0, u1), -1.0, 1.0)
     omega = np.arccos(cos_w)
     sin_w = np.sin(omega)
@@ -98,47 +111,68 @@ def _pencil_peaks(p: np.ndarray, q: np.ndarray, cos_w, sin_w) -> np.ndarray:
     return np.where(inside, np.hypot(p, q), np.abs(p))
 
 
+def _pencil_ranges(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of a and b cut to its cyclic column range from f_i to f_{i+1}.
+
+    f_i = argmax_j a_ij is the top of pencil i at theta = 0 (the lowest
+    index among ties), so column 0 of each result row is f_i.  A row shorter
+    than the longest repeats its last column f_{i+1}; a repeat ties the
+    column it copies and comes after it, so it never becomes the top of a
+    sweep or changes a maximum.
+    """
+    n = a.shape[0]
+    f = a.argmax(axis=1)
+    last = (np.concatenate((f[1:], f[:1])) - f) % n
+    cols = (f[:, None] + np.minimum(np.arange(last.max() + 1), last[:, None])) % n
+    cols += np.arange(0, n * n, n)[:, None]  # positions in the flat n x n arrays
+    return a.take(cols), b.take(cols)
+
+
 def _envelope_minima(a: np.ndarray, b: np.ndarray, omega: np.ndarray):
     """Minimum of each row's envelope at theta = 0 and its breakpoints in (0, omega).
 
-    The envelope of row i is max_j (a_ij cos(theta) + b_ij sin(theta)).  All
+    The envelope of row i is max_j (a_ij cos(theta) + b_ij sin(theta)), and
+    column 0 of each row is its top at theta = 0 (``_pencil_ranges``).  All
     rows sweep their envelopes together, left to right, one breakpoint per
     step.  Another sinusoid overtakes the active one at the relative angle
     atan2(-x, y), where x <= 0 is its value gap and y its slope gap; the
     smallest such angle is the next breakpoint.  A sinusoid tied with the
     active one and steeper takes over at once, and at a fixed angle every
-    move raises the active slope, so the sweep cannot cycle.  Returns the
+    move raises the active slope, so the sweep cannot cycle.  A row leaves
+    the sweep when its next breakpoint is not below omega.  Returns the
     minima and the angles attaining them.
     """
+    out_low, out_at = np.empty(a.shape[0]), np.empty(a.shape[0])
+    live = rows = np.arange(a.shape[0])  # the original index of each row still sweeping
     low = np.full(a.shape[0], np.inf)
     low_at = np.zeros(a.shape[0])
     theta = np.zeros(a.shape[0])
-    top = np.argmax(a, axis=1)
-    live = np.arange(a.shape[0])
-    while live.size:
-        rows = np.arange(live.size)
-        c = np.cos(theta[live])[:, None]
-        s = np.sin(theta[live])[:, None]
-        al, bl = a[live], b[live]
-        f = al * c + bl * s
-        g = bl * c - al * s
+    top = np.zeros(a.shape[0], dtype=np.intp)
+    while True:
+        c = np.cos(theta)[:, None]
+        s = np.sin(theta)[:, None]
+        f = a * c + b * s
+        g = b * c - a * s
         value = f.max(axis=1)
-        lower = value < low[live]
-        low[live[lower]] = value[lower]
-        low_at[live[lower]] = theta[live[lower]]
-        j = top[live]
-        x = np.minimum(f - f[rows, j][:, None], 0.0)
-        y = g - g[rows, j][:, None]
+        lower = value < low
+        low[lower] = value[lower]
+        low_at[lower] = theta[lower]
+        x = np.minimum(f - f[rows, top][:, None], 0.0)
+        y = g - g[rows, top][:, None]
         step = np.arctan2(-x, y)
         # Tied but not steeper (the active one itself included): never overtakes.
         step[(x == 0.0) & (y <= 0.0)] = np.inf
         k = np.argmin(step, axis=1)
-        nxt = theta[live] + step[rows, k]
-        go = nxt < omega[live]
-        live = live[go]
-        theta[live] = nxt[go]
-        top[live] = k[go]
-    return low, low_at
+        theta = theta + step[rows, k]
+        top = k
+        go = theta < omega
+        if not go.all():
+            out_low[live[~go]], out_at[live[~go]] = low[~go], low_at[~go]
+            if not go.any():
+                return out_low, out_at
+            live, a, b, omega, low, low_at, theta, top = (
+                v[go] for v in (live, a, b, omega, low, low_at, theta, top))
+            rows = rows[:live.size]
 
 
 def _oriented_support_values(V: ConvexPolygon, L: HLine) -> np.ndarray:
@@ -194,17 +228,14 @@ def width_ultraparallel_oracle(V: ConvexPolygon, L: HLine) -> float:
 def thickness(V: ConvexPolygon) -> ThicknessReport:
     """Minimum width over all supporting lines of V."""
     u0, e, omega, _, _ = _pencil_frames(V)
-    a = u0 @ V.mink_rows.T
-    b = e @ V.mink_rows.T
+    a, b = _pencil_ranges(u0 @ V.mink_rows.T, e @ V.mink_rows.T)
     low, low_at = _envelope_minima(a, b, omega)
     i = int(np.argmin(low))
     best_val = math.asinh(max(float(low[i]), 0.0))
-    # Pencil i starts on side i - 1, so side j is row j + 1 at theta = 0.
-    side_widths = np.arcsinh(np.maximum(np.roll(a.max(axis=1), -1), 0.0))
-
-    hits = np.flatnonzero(side_widths <= best_val + SIDE_ATTAIN_TOL)
+    # Pencil p starts on side p - 1, whose width is the top of row p at theta = 0.
+    hits = np.flatnonzero(np.arcsinh(np.maximum(a[:, 0], 0.0)) <= best_val + SIDE_ATTAIN_TOL)
     if hits.size:
-        achieved: int | None = int(hits[0])
+        achieved: int | None = int(((hits - 1) % V.n).min())
         best_line = HLine.from_vec(V.side_normals[achieved])
     else:
         achieved = None
@@ -230,7 +261,6 @@ def diameter_via_width(V: ConvexPolygon) -> float:
     pencil; otherwise at a side line.
     """
     u0, e, _, cos_w, sin_w = _pencil_frames(V)
-    a = u0 @ V.mink_rows.T
-    b = e @ V.mink_rows.T
+    a, b = _pencil_ranges(u0 @ V.mink_rows.T, e @ V.mink_rows.T)
     peak = float(np.max(_pencil_peaks(a, b, cos_w[:, None], sin_w[:, None])))
     return math.asinh(max(peak, 0.0))

@@ -7,14 +7,18 @@ exhaustive pair/triple candidate construction, the largest inscribed disk by
 exhaustive side-triple construction, the diameter by a loop over vertex
 pairs, the ordinary-reducedness criterion and the boundary halving one
 vertex at a time, and the vertex pencils by arc interpolation between the
-two side normals.
+two side normals.  The full-width sweep is the library's envelope sweep
+before each pencil was restricted to its own column range: it runs every
+pencil over all n sinusoids, so the restricted sweep must reproduce it bit
+for bit.
 """
 
 import math
 
 import numpy as np
 
-from hypwidth.hcore import HLine, angle_at, dist_pp, foot, mink, signed_dist, unit_timelike
+from hypwidth.hcore import (HLine, angle_at, dist_pp, foot, mink, signed_dist, unit_spacelike,
+                            unit_timelike)
 from hypwidth.polygon import ConvexPolygon, side_line
 from hypwidth.width import width_line
 
@@ -198,3 +202,93 @@ def oracle_perimeter_halving(V: ConvexPolygon):
                     angle_at(V.vertex(i + 1), V.vertex(i), feet[i]),
                     angle_at(feet[i], V.vertex(i), V.vertex(j))))
     return out
+
+
+def _full_width_pencils(V: ConvexPolygon):
+    """Pencil frames and the n x n sinusoid coefficients of every vertex pencil.
+
+    Row i of a and b holds B(v_j, u0) and B(v_j, e) of the pencil at vertex
+    i, for every vertex j, with the frame of ``width.pencil_line``.
+    """
+    u1 = V.side_normals
+    u0 = np.roll(u1, 1, axis=0)
+    cos_w = np.clip(mink(u0, u1), -1.0, 1.0)
+    omega = np.arccos(cos_w)
+    sin_w = np.sin(omega)
+    e = (u1 - cos_w[:, None] * u0) / np.where(sin_w > 0.0, sin_w, 1.0)[:, None]
+    return u0, e, omega, cos_w, sin_w, u0 @ V.mink_rows.T, e @ V.mink_rows.T
+
+
+def full_width_sweep(a: np.ndarray, b: np.ndarray, omega: np.ndarray):
+    """Envelope sweep of every pencil over all n sinusoids.
+
+    The same sweep rule as the library's, on every column of every row: from
+    the top at theta = 0, step to the nearest angle at which another sinusoid
+    overtakes.  Returns each row's minimum, its angle and the list of
+    (top column, angle) pairs the row visited, in order.
+    """
+    low = np.full(a.shape[0], np.inf)
+    low_at = np.zeros(a.shape[0])
+    theta = np.zeros(a.shape[0])
+    top = np.argmax(a, axis=1)
+    visited = [[(int(j), 0.0)] for j in top]
+    live = np.arange(a.shape[0])
+    while live.size:
+        rows = np.arange(live.size)
+        c = np.cos(theta[live])[:, None]
+        s = np.sin(theta[live])[:, None]
+        al, bl = a[live], b[live]
+        f = al * c + bl * s
+        g = bl * c - al * s
+        value = f.max(axis=1)
+        lower = value < low[live]
+        low[live[lower]] = value[lower]
+        low_at[live[lower]] = theta[live[lower]]
+        j = top[live]
+        x = np.minimum(f - f[rows, j][:, None], 0.0)
+        y = g - g[rows, j][:, None]
+        step = np.arctan2(-x, y)
+        step[(x == 0.0) & (y <= 0.0)] = np.inf
+        k = np.argmin(step, axis=1)
+        nxt = theta[live] + step[rows, k]
+        go = nxt < omega[live]
+        live = live[go]
+        theta[live] = nxt[go]
+        top[live] = k[go]
+        for i, kk, t in zip(live.tolist(), k[go].tolist(), nxt[go].tolist()):
+            visited[i].append((kk, t))
+    return low, low_at, visited
+
+
+def full_width_thickness(V: ConvexPolygon) -> tuple[float, np.ndarray, int | None]:
+    """Thickness, argmin line normal and attaining side from the full-width sweep.
+
+    The minimum over every pencil's envelope with all n sinusoids in each
+    pencil, and the side attaining it within 1e-9 (the lowest index), else
+    the breakpoint line.
+    """
+    u0, e, omega, _, _, a, b = _full_width_pencils(V)
+    low, low_at, _ = full_width_sweep(a, b, omega)
+    i = int(np.argmin(low))
+    best = math.asinh(max(float(low[i]), 0.0))
+    side_widths = np.arcsinh(np.maximum(np.roll(a.max(axis=1), -1), 0.0))
+    hits = np.flatnonzero(side_widths <= best + 1e-9)
+    if hits.size:
+        return best, V.side_normals[int(hits[0])], int(hits[0])
+    line = unit_spacelike(u0[i] * math.cos(low_at[i]) + e[i] * math.sin(low_at[i]))
+    return best, line.vec, None
+
+
+def full_width_diameter_via_width(V: ConvexPolygon) -> float:
+    """Largest sinusoid peak over every pencil and all n vertices."""
+    _, _, _, cos_w, sin_w, a, b = _full_width_pencils(V)
+    cos_w, sin_w = cos_w[:, None], sin_w[:, None]
+    inside = b * (b * cos_w - a * sin_w) <= 0.0
+    peak = float(np.max(np.where(inside, np.hypot(a, b), np.abs(a))))
+    return math.asinh(max(peak, 0.0))
+
+
+def envelope_tops(V: ConvexPolygon) -> tuple[list[list[tuple[int, float]]], np.ndarray]:
+    """(top column, angle) pairs visited by each pencil's full-width sweep, and omega."""
+    _, _, omega, _, _, a, b = _full_width_pencils(V)
+    return full_width_sweep(a, b, omega)[2], omega

@@ -173,6 +173,19 @@ class TestExitCodes:
         code, _ = run(capsys, "regular", "--n", "3", "--thickness", "60")
         assert code == 3
 
+    @pytest.mark.parametrize("R", ["400", "800"])
+    def test_overflowing_circumradius_is_2(self, capsys, caplog, R):
+        code, out = run(capsys, "regular", "--n", "5", "--circumradius", R)
+        assert code == 2
+        assert out == ""
+        assert f"circumradius {float(R)}" in caplog.text
+
+    def test_negative_perturbations_is_2(self, capsys):
+        code, out = run(capsys, "scan", "--ns", "5", "--deltas", "1",
+                        "--perturbations", "-1")
+        assert code == 2
+        assert out == ""
+
     def test_io_error_is_4(self, capsys):
         code, _ = run(capsys, "width", "--input", "/nonexistent/poly.json",
                       "--side", "0")

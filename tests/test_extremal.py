@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypwidth.corpus import perturbed_polygon, random_convex_polygon
-from hypwidth.errors import EvenGon, NumericalError
+from hypwidth.errors import EvenGon, GeometryError, NumericalError
 from hypwidth.extremal import ScanRow, circumdisk, indisk, ratio_scan, rhombus
 from hypwidth.hcore import (HPoint, apply_isometry, dist_pp, random_isometry,
                             signed_dist, unit_timelike)
@@ -180,6 +180,10 @@ class TestRhombus:
 
 
 class TestRatioScan:
+    def test_negative_perturbations_rejected(self):
+        with pytest.raises(GeometryError, match="perturbations"):
+            ratio_scan([5], [1.0], perturbations=-1)
+
     def test_small_grid(self, caplog):
         rows = ratio_scan([3, 5], [1.0], perturbations=1, rng_seed=5)
         assert len(rows) == 4

@@ -61,6 +61,27 @@ class TestMakePolygon:
                     klein_polygon(order)
 
 
+class TestEquality:
+    def test_hash_of_vertex_values(self):
+        V = regular_ngon(5, 1.0)
+        assert hash(V) == hash((tuple((v.x, v.y, v.t) for v in V.vertices),))
+
+    def test_signed_zero(self):
+        V = regular_ngon(5, 1.0)
+        v0 = V.vertex(0)
+        assert v0.y == 0.0 and math.copysign(1.0, v0.y) == 1.0
+        W = make_polygon([HPoint(v0.x, -0.0, v0.t), *V.vertices[1:]])
+        assert W == V
+        assert hash(W) == hash(V)
+
+    def test_unequal(self):
+        V = regular_ngon(5, 1.0)
+        assert V != regular_ngon(5, 1.1)
+        assert V != regular_ngon(7, 1.0)
+        assert V != V.vertices
+        assert len({V, regular_ngon(5, 1.0), regular_ngon(7, 1.0)}) == 2
+
+
 class TestPerimeter:
     def test_equilateral_triangle(self):
         V = regular_ngon(3, 1.0)

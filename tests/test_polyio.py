@@ -4,12 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
+from hypwidth.corpus import random_convex_polygon
 from hypwidth.errors import NonConvex, SchemaError
 from hypwidth.extremal import ScanRow
-from hypwidth.polyio import (SCAN_CSV_HEADER, emit_polygon, parse_polygon,
+from hypwidth.hcore import HPoint, chart_to_hyperboloid
+from hypwidth.polygon import make_polygon
+from hypwidth.polyio import (MODELS, SCAN_CSV_HEADER, emit_polygon, parse_polygon,
                              parse_polygon_file, polygon_from_file,
                              scan_rows_to_csv)
 from hypwidth.reduced import regular_ngon
+from polygon_families import jittered_circle_polygon
 
 
 class TestParse:
@@ -100,6 +104,27 @@ class TestParse:
                                 '[-0.15,-0.26]],"metadata":{"name":"t"}}')
         assert pf.metadata == {"name": "t"}
         assert polygon_from_file(pf).n == 3
+
+
+class TestLiftBytes:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_same_vertex_bytes_as_point_path(self, model, reverse):
+        rng = np.random.default_rng(31)
+        polys = [regular_ngon(7, 1.1), regular_ngon(101, 2.0)]
+        polys += [random_convex_polygon(rng, int(rng.integers(3, 12))) for _ in range(10)]
+        polys += [jittered_circle_polygon(rng, 25, 1.5, 2.0) for _ in range(3)]
+        for V in polys:
+            rows = json.loads(emit_polygon(V, model=model))["vertices"]
+            rows = rows[::-1] if reverse else rows
+            W = parse_polygon(json.dumps({"model": model, "vertices": rows}))
+            if model == "hyperboloid":
+                ref = make_polygon(HPoint(*r) for r in rows)
+            else:
+                ref = make_polygon(chart_to_hyperboloid(x, y, model) for x, y in rows)
+            assert W.vertex_matrix.tobytes() == ref.vertex_matrix.tobytes()
+            assert W == ref
+            assert hash(W) == hash(ref)
 
 
 class TestEmit:

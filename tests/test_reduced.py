@@ -23,6 +23,30 @@ from test_acceptance_oracles import (oracle_check_ordinary_reduced,
                                      oracle_perimeter_halving)
 
 
+# check_ordinary_reduced(...).records of two triangles, as the per-vertex
+# records were built before they became lazy.
+REGULAR_TRIANGLE_RECORDS = (
+    "(VertexProjection(index=0, opposite_side=(1, 2), foot=HPoint(x=-0.23748495951211696, "
+    "y=2.4577233623150296e-16, t=1.0278127776956618), distance=0.7353074598670407, "
+    "foot_interior=True, interior_margin=0.49999999999999983), "
+    "VertexProjection(index=1, opposite_side=(2, 0), foot=HPoint(x=0.11874247975605828, "
+    "y=-0.205668007954212, t=1.0278127776956618), distance=0.7353074598670405, "
+    "foot_interior=True, interior_margin=0.4999999999999999), "
+    "VertexProjection(index=2, opposite_side=(0, 1), foot=HPoint(x=0.11874247975605831, "
+    "y=0.20566800795421217, t=1.0278127776956618), distance=0.7353074598670407, "
+    "foot_interior=True, interior_margin=0.4999999999999998))")
+TRIANGLE_RECORDS = (
+    "(VertexProjection(index=0, opposite_side=(1, 2), foot=HPoint(x=-0.2253799542668374, "
+    "y=0.00851941637132813, t=1.025118873224286), distance=0.9221410363041754, "
+    "foot_interior=True, interior_margin=0.4812438422816231), "
+    "VertexProjection(index=1, opposite_side=(2, 0), foot=HPoint(x=0.3143781588959517, "
+    "y=-0.1998938760664108, t=1.0671415972023872), distance=1.0279783347355822, "
+    "foot_interior=True, interior_margin=0.3897265759787222), "
+    "VertexProjection(index=2, opposite_side=(0, 1), foot=HPoint(x=0.272197622652422, "
+    "y=0.2788245313253122, t=1.073235605562176), distance=1.0563799036359636, "
+    "foot_interior=True, interior_margin=0.407719274684202))")
+
+
 def circumradius(V):
     v = V.vertex(0)
     return math.asinh(math.hypot(v.x, v.y))
@@ -105,6 +129,15 @@ class TestCheckOrdinaryReduced:
         rep = check_ordinary_reduced(regular_ngon_with_thickness(5, 1.0), tol=0.0)
         assert all(r.foot_interior for r in rep.records)
 
+    def test_records_repr_pinned(self):
+        tri = make_polygon(HPoint(math.sinh(0.7) * math.cos(a), math.sinh(0.7) * math.sin(a),
+                                  math.cosh(0.7)) for a in (0.1, 2.0, 4.4))
+        for V, text in ((regular_ngon(3, 0.5), REGULAR_TRIANGLE_RECORDS),
+                        (tri, TRIANGLE_RECORDS)):
+            records = check_ordinary_reduced(V).records
+            assert type(records) is tuple
+            assert repr(records) == text
+
 
 class TestRegularNgon:
     def test_triangle_side_length(self):
@@ -130,6 +163,20 @@ class TestRegularNgon:
             regular_ngon(4, 1.0)
         with pytest.raises(GeometryError):
             regular_ngon(5, -1.0)
+
+    @pytest.mark.parametrize("R", [400.0, 800.0])
+    def test_overflowing_circumradius_named(self, R):
+        # sinh overflows from R = 710.5, the squared coordinates from R = 355.
+        with pytest.raises(GeometryError, match=f"circumradius {R}"):
+            regular_ngon(5, R)
+
+    def test_overflow_edge(self):
+        # Each R either builds the polygon or names the circumradius.
+        for R in np.linspace(354.0, 357.0, 61).tolist():
+            try:
+                assert regular_ngon(5, R).n == 5
+            except GeometryError as exc:
+                assert f"circumradius {R}" in str(exc)
 
 
 class TestRegularNgonWithThickness:

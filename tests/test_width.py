@@ -6,15 +6,16 @@ import pytest
 from hypwidth.corpus import nested_pair, random_convex_polygon
 from hypwidth.errors import NotSupporting
 from hypwidth.extremal import rhombus
-from hypwidth.hcore import (HLine, HPoint, apply_isometry, random_isometry,
-                            signed_dist)
+from hypwidth.hcore import (HLine, HPoint, apply_isometry, chart_to_hyperboloid,
+                            random_isometry, rotation, signed_dist, to_sheet, translation_x)
 from hypwidth.polygon import make_polygon, side_line
-from hypwidth.reduced import regular_apothem, regular_ngon
+from hypwidth.reduced import regular_apothem, regular_ngon, regular_ngon_with_thickness
 from hypwidth.width import (SUPPORT_TOL, diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
 from polygon_families import jittered_circle_polygon, squashed_hull
-from test_acceptance_oracles import (brute_thickness, dense_thickness, oracle_diameter,
-                                     slerp_pencil_line)
+from test_acceptance_oracles import (brute_thickness, dense_thickness, envelope_tops,
+                                     full_width_diameter_via_width, full_width_thickness,
+                                     oracle_diameter, slerp_pencil_line)
 
 
 def altitude(R, n):
@@ -306,3 +307,92 @@ class TestDiameter:
         for _ in range(20):
             U, W = nested_pair(rng)
             assert diameter(U)[0] <= diameter(W)[0] + 1e-10
+
+
+def moved(V, rng, max_shift):
+    """V under a seeded rotation after a translation by up to max_shift."""
+    M = rotation(rng.uniform(0.0, 2.0 * math.pi)) @ translation_x(rng.uniform(0.0, max_shift))
+    return make_polygon(HPoint.from_vec(p) for p in to_sheet(V.vertex_matrix @ M.T))
+
+
+def thin_ellipse(n):
+    """n points of a Klein-chart ellipse 50 times longer than wide.
+
+    The pencils at its two ends each range over about 0.4 n vertices.
+    """
+    t = 2.0 * math.pi * np.arange(n) / n
+    return make_polygon(chart_to_hyperboloid(0.9 * math.cos(a), 0.018 * math.sin(a), "klein")
+                        for a in t.tolist())
+
+
+def hard_families():
+    """Squashed hulls, moved jittered circles and random polygons, rhombi, thin
+    ellipses and regular odd-gons."""
+    rng = np.random.default_rng(1212)
+    polys = [squashed_hull(rng) for _ in range(40)]
+    polys += [jittered_circle_polygon(rng, int(rng.integers(3, 200)), rng.uniform(0.2, 2.5),
+                                      rng.uniform(0.0, 5.0)) for _ in range(30)]
+    polys += [moved(random_convex_polygon(rng, int(rng.integers(3, 12))), rng, 5.0)
+              for _ in range(60)]
+    polys += [rhombus(a, b) for a in (0.3, 1.0, 2.5) for b in (0.3, 1.0, 2.5)]
+    polys += [thin_ellipse(n) for n in (41, 301)]
+    polys += [regular_ngon_with_thickness(n, d) for n in (3, 5, 31, 101, 1001)
+              for d in (0.01, 1.0, 6.0)]
+    return polys
+
+
+@pytest.fixture(scope="module")
+def families():
+    return hard_families()
+
+
+class TestPencilRanges:
+    def test_thickness_matches_full_width_sweep_bit_for_bit(self, families):
+        breakpoints = 0
+        for V in families:
+            rep = thickness(V)
+            value, vec, side = full_width_thickness(V)
+            assert rep.thickness == value
+            assert rep.argmin_line.vec.tobytes() == vec.tobytes()
+            assert rep.achieved_on_side == side
+            breakpoints += side is None
+        assert breakpoints  # the pencil-interior branch is exercised too
+
+    def test_diameter_via_width_matches_full_width_bit_for_bit(self, families):
+        for V in families:
+            assert diameter_via_width(V) == full_width_diameter_via_width(V)
+
+    def test_tops_stay_in_range(self, families):
+        # Every top the full-width sweep visits in pencil i lies in the cyclic
+        # range from f_i to f_{i+1}, f_i being the first top of pencil i.  The
+        # one exception is a tie at the pencil's end: in the square, sides 0
+        # and 2 are equidistant from side 1, and the sweep meets that tie one
+        # rounding step before omega.
+        end_ties = 0
+        for V in families:
+            tops, omega = envelope_tops(V)
+            first = [t[0][0] for t in tops]
+            for i, visited in enumerate(tops):
+                span = (first[(i + 1) % V.n] - first[i]) % V.n
+                for j, theta in visited:
+                    if (j - first[i]) % V.n > span:
+                        assert omega[i] - theta <= 4 * np.spacing(omega[i])
+                        end_ties += 1
+        assert end_ties <= 3
+
+    def test_thickness_memory_at_n_1001(self):
+        import tracemalloc
+
+        n = 1001
+        polys = [regular_ngon(n, 1.3),
+                 jittered_circle_polygon(np.random.default_rng(1001), n, 1.5, 1.0)]
+        for V in polys:
+            V.side_normals, V.mink_rows  # cached per polygon; not part of the call
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                thickness(V)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 8 * n * n
