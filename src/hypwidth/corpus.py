@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import GeometryError, NoConvergence, NonConvex
 from .hcore import chart_rows_to_hyperboloid, geodesic_point, polar_rows, signed_dist
-from .polygon import ConvexPolygon, make_polygon, polygon_from_rows, side_line
+from .polygon import ConvexPolygon, polygon_from_rows, side_line
 
 
 def random_convex_polygon(rng: np.random.Generator, n: int,
@@ -53,7 +53,7 @@ def nested_pair(rng: np.random.Generator) -> tuple[ConvexPolygon, ConvexPolygon]
         U = polygon_from_rows(chart_rows_to_hyperboloid(shrunk, "klein"))
     else:
         drop = int(rng.integers(0, n))
-        U = make_polygon([W.vertex(i) for i in range(n) if i != drop])
+        U = polygon_from_rows(np.delete(W.vertex_matrix, drop, axis=0))
     return U, W
 
 
@@ -91,10 +91,5 @@ def clip_vertex_cap(V: ConvexPolygon, k: int, depth: float) -> ConvexPolygon:
     v = V.vertex(k)
     a = geodesic_point(v, V.vertex(k - 1), depth)
     b = geodesic_point(v, V.vertex(k + 1), depth)
-    pts = []
-    for i in range(n):
-        if i % n == k % n:
-            pts.extend([a, b])
-        else:
-            pts.append(V.vertex(i))
-    return make_polygon(pts)
+    m = V.vertex_matrix
+    return polygon_from_rows(np.concatenate((m[:k % n], [a.vec, b.vec], m[k % n + 1:])))

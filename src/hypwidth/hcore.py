@@ -15,7 +15,11 @@ are immutable, so everything here is safe to call concurrently.
 Far from the origin the form evaluates with catastrophic cancellation
 (coordinates grow like cosh of the distance), so the unit-norm tolerances are
 scale-relative and small distances use the cancellation-free chord form
-cosh(d) - 1 = B(q - p, q - p) / 2.
+cosh(d) - 1 = B(q - p, q - p) / 2.  The coordinate domain is finite
+coordinates with x^2 + y^2 + t^2 below float64's maximum, that is, up to about
+distance 355 from the chart origin.  Beyond it that scale overflows, and
+``HPoint``, ``HLine`` and ``unit_spacelike`` raise GeometryError (``off_sheet``
+flags the row).
 """
 
 from __future__ import annotations
@@ -75,21 +79,25 @@ def mink(p, q):
 
 
 def _norm_tol(x: float, y: float, t: float) -> float:
-    return max(UNIT_NORM_TOL, 64.0 * _EPS * (x * x + y * y + t * t))
+    """Unit-norm tolerance of HPoint and HLine; NaN, which no error passes,
+    once the scale x^2 + y^2 + t^2 overflows float64."""
+    tol = max(UNIT_NORM_TOL, 64.0 * _EPS * (x * x + y * y + t * t))
+    return tol if tol < math.inf else math.nan
 
 
 def off_sheet(a: np.ndarray) -> np.ndarray:
     """Which rows of an (n, 3) array HPoint rejects, by its predicate and tolerance.
 
     A row fails when |B(p, p) + 1| exceeds the scale-relative tolerance (or
-    is NaN) or when t <= 0.  Rows that overflow fail silently.
+    is NaN), when that tolerance overflows, or when t <= 0.  Rows that
+    overflow fail silently.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = a * a
         xy = sq[:, 0] + sq[:, 1]
         err = np.abs(xy - sq[:, 2] + 1.0)
         tol = np.maximum(UNIT_NORM_TOL, 64.0 * _EPS * (xy + sq[:, 2]))
-        return ~(err <= tol) | (a[:, 2] <= 0.0)
+        return ~(err <= tol) | (tol == math.inf) | (a[:, 2] <= 0.0)
 
 
 @dataclass(frozen=True)
@@ -210,14 +218,13 @@ def unit_timelike(v) -> HPoint:
 
 
 def unit_spacelike(v) -> HLine:
-    """Rescale a spacelike vector to a unit line normal."""
-    a = np.asarray(v, dtype=float)
-    n = mink(a, a)
-    scale = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
-    if n <= 64.0 * _EPS * scale:
+    """Rescale a spacelike vector to a unit line normal; reject one whose scale overflows."""
+    x, y, t = np.asarray(v, dtype=float).tolist()  # floats overflow to inf silently
+    n = x * x + y * y - t * t
+    if n <= 64.0 * _EPS * (x * x + y * y + t * t):
         raise GeometryError("vector is not spacelike")
-    a = a / math.sqrt(n)
-    return HLine(a[0], a[1], a[2])
+    s = math.sqrt(n)
+    return HLine(x / s, y / s, t / s)
 
 
 def lorentz_cross(a, b) -> np.ndarray:

@@ -117,19 +117,24 @@ def _turns(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def make_polygon(points: Iterable[HPoint]) -> ConvexPolygon:
-    """Validate a cycle of HPoints into a ConvexPolygon; its vertices are those points.
+    """Validate a cycle of HPoints into a ConvexPolygon.
 
-    Orientation and convexity are checked as in :func:`polygon_from_rows`.
+    An adapter that passes the points' coordinates to :func:`polygon_from_rows`,
+    with its checks and its domain: finite coordinates with x^2 + y^2 + t^2
+    below float64's maximum, up to about distance 355 from the chart origin.
+    The vertices equal the points (as new objects).
     """
-    pts = tuple(points)
-    return _convex(np.array([(v.x, v.y, v.t) for v in pts]).reshape(-1, 3), pts)
+    return polygon_from_rows(np.array([(v.x, v.y, v.t) for v in points]).reshape(-1, 3))
 
 
 def polygon_from_rows(rows) -> ConvexPolygon:
     """Validate an (n, 3) array of hyperboloid vertex rows into a ConvexPolygon.
 
-    The rows are copied.  Each must pass HPoint's validation; the first one
-    that does not raises HPoint's GeometryError.  Negatively oriented but
+    This is the one constructor of ConvexPolygon.  The rows are copied.  Each
+    must pass HPoint's validation; the first one that does not raises HPoint's
+    GeometryError.  The domain is finite coordinates with x^2 + y^2 + t^2
+    below float64's maximum, that is, up to about distance 355 from the chart
+    origin; a row beyond it raises GeometryError.  Negatively oriented but
     convex input is reversed; non-convex input (a right turn, collinear
     consecutive vertices, or a cycle winding more than once around) raises
     NonConvex.  The orientation is the common sign of the Klein-chart turn
@@ -143,22 +148,12 @@ def polygon_from_rows(rows) -> ConvexPolygon:
     bad = np.flatnonzero(off_sheet(m))
     if bad.size:
         HPoint(*m[bad[0]].tolist())  # raises HPoint's error for that row
-    return _convex(m)
-
-
-def _convex(m: np.ndarray, pts: tuple[HPoint, ...] | None = None) -> ConvexPolygon:
-    """The polygon of validated rows m, after its orientation and convexity checks.
-
-    pts, when given, are the rows as HPoints; they become the vertices.
-    """
     if m.shape[0] < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {m.shape[0]}")
     k = hyperboloid_to_chart(m, "klein")
     e, crosses, nxt = _turns(k)
     if np.all(crosses < 0.0):
         m, k = m[::-1].copy(), k[::-1].copy()
-        if pts is not None:
-            pts = pts[::-1]
         e, crosses, nxt = _turns(k)
     if np.any(crosses <= CONVEXITY_TOL):
         j = int(np.argmin(crosses))
@@ -171,9 +166,7 @@ def _convex(m: np.ndarray, pts: tuple[HPoint, ...] | None = None) -> ConvexPolyg
     m.flags.writeable = False
     k.flags.writeable = False
     P = ConvexPolygon(m)
-    P.__dict__["klein"] = k  # where the cached properties keep their values
-    if pts is not None:
-        P.__dict__["vertices"] = pts
+    P.__dict__["klein"] = k  # where the cached property keeps its value
     return P
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (BracketFailure, EvenGon, GeometryError, LeftFamily,
                      NoConvergence, NonConvex, NotOrdinaryReduced)
 from .hcore import (MINK_DIAG, HPoint, angle_from_sides, dist_pp, hyperboloid_to_chart,
-                    lorentz_cross, mink, polar_rows, to_sheet)
+                    lorentz_cross, mink, off_sheet, polar_rows, to_sheet)
 from .polygon import ConvexPolygon, line_normals, polygon_from_rows
 from .width import diameter, thickness
 
@@ -172,10 +172,7 @@ def regular_ngon(n: int, R: float) -> ConvexPolygon:
         m = polar_rows([R] * n, [2.0 * math.pi * k / n for k in range(n)])
     except OverflowError:  # math.sinh and math.cosh, from R = 710.5
         m = np.full((1, 3), math.inf)
-    with np.errstate(over="ignore"):
-        # x^2 + y^2 + t^2 scales HPoint's tolerance, which must stay finite.
-        overflow = not np.isfinite(np.sum(m * m, axis=1)).all()
-    if overflow:
+    if off_sheet(m).any():  # the squared coordinates overflow
         raise GeometryError(f"circumradius {R} is too large: the vertex coordinates "
                             "overflow float64")
     return polygon_from_rows(m)

@@ -111,8 +111,9 @@ def _pencil_peaks(p: np.ndarray, q: np.ndarray, cos_w, sin_w) -> np.ndarray:
     return np.where(inside, np.hypot(p, q), np.abs(p))
 
 
-def _pencil_ranges(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row i of a and b cut to its cyclic column range from f_i to f_{i+1}.
+def _pencil_ranges(V: ConvexPolygon):
+    """The pencil frames of V, then a_ij = B(v_j, u0_i) and b_ij = B(v_j, e_i)
+    with row i cut to its cyclic column range from f_i to f_{i+1}.
 
     f_i = argmax_j a_ij is the top of pencil i at theta = 0 (the lowest
     index among ties), so column 0 of each result row is f_i.  A row shorter
@@ -120,12 +121,13 @@ def _pencil_ranges(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     column it copies and comes after it, so it never becomes the top of a
     sweep or changes a maximum.
     """
-    n = a.shape[0]
+    u0, e, omega, cos_w, sin_w = _pencil_frames(V)
+    n, a = V.n, u0 @ V.mink_rows.T
     f = a.argmax(axis=1)
     last = (np.concatenate((f[1:], f[:1])) - f) % n
     cols = (f[:, None] + np.minimum(np.arange(last.max() + 1), last[:, None])) % n
     cols += np.arange(0, n * n, n)[:, None]  # positions in the flat n x n arrays
-    return a.take(cols), b.take(cols)
+    return u0, e, omega, cos_w, sin_w, a.take(cols), (e @ V.mink_rows.T).take(cols)
 
 
 def _envelope_minima(a: np.ndarray, b: np.ndarray, omega: np.ndarray):
@@ -227,8 +229,7 @@ def width_ultraparallel_oracle(V: ConvexPolygon, L: HLine) -> float:
 
 def thickness(V: ConvexPolygon) -> ThicknessReport:
     """Minimum width over all supporting lines of V."""
-    u0, e, omega, _, _ = _pencil_frames(V)
-    a, b = _pencil_ranges(u0 @ V.mink_rows.T, e @ V.mink_rows.T)
+    u0, e, omega, _, _, a, b = _pencil_ranges(V)
     low, low_at = _envelope_minima(a, b, omega)
     i = int(np.argmin(low))
     best_val = math.asinh(max(float(low[i]), 0.0))
@@ -260,7 +261,6 @@ def diameter_via_width(V: ConvexPolygon) -> float:
     line is perpendicular to the segment v_i v_j, if that line lies in the
     pencil; otherwise at a side line.
     """
-    u0, e, _, cos_w, sin_w = _pencil_frames(V)
-    a, b = _pencil_ranges(u0 @ V.mink_rows.T, e @ V.mink_rows.T)
+    _, _, _, cos_w, sin_w, a, b = _pencil_ranges(V)
     peak = float(np.max(_pencil_peaks(a, b, cos_w[:, None], sin_w[:, None])))
     return math.asinh(max(peak, 0.0))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -179,6 +180,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"circumradius {float(R)}" in caplog.text
+
+    def test_overflowing_vertex_is_2(self, capsys, caplog, tmp_path):
+        # The first row parses to (inf, 0, 1); x^2 + y^2 + t^2 overflows.
+        bad = tmp_path / "inf.json"
+        bad.write_text('{"model":"hyperboloid","vertices":[[1e400,0,1],'
+                       '[0,0.5,1.118033988749895],[-0.5,0,1.118033988749895]]}')
+        code, out = run(capsys, "thickness", "--input", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "field 'vertices[0]'" in caplog.text
+
+    def test_overflowing_line_is_2_without_warning(self, capsys, pentagon_file):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "width", "--input", pentagon_file,
+                            "--line", "1.3e154,0,1e154")
+        assert code == 2
+        assert out == ""
 
     def test_negative_perturbations_is_2(self, capsys):
         code, out = run(capsys, "scan", "--ns", "5", "--deltas", "1",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 from hypwidth.errors import GeometryError
 from hypwidth.hcore import (ASYMPTOTIC, COINCIDENT, HLine, HPoint,
-                            INTERSECTING, ULTRAPARALLEL, angle_at,
+                            INTERSECTING, ULTRAPARALLEL, UNIT_NORM_TOL, angle_at,
                             angle_from_sides, apply_isometry,
                             chart_to_hyperboloid, dist_pp, foot,
                             geodesic_point, hyperboloid_to_chart,
                             line_relation, line_through, lines_from_normals,
-                            lorentz_cross, mink, polar_point, random_isometry,
+                            lorentz_cross, mink, off_sheet, polar_point, random_isometry,
                             rotation, signed_dist, to_sheet, translation_x,
                             unit_spacelike, unit_timelike)
 
@@ -109,6 +110,58 @@ class TestNonFinite:
     def test_rejected(self, kind, coords):
         with pytest.raises(GeometryError):
             kind(*coords)
+
+
+def near_tolerance(x, factor):
+    """Row (x, 0, t) with |B(p, p) + 1| about factor times HPoint's tolerance."""
+    tol = max(UNIT_NORM_TOL, 64.0 * np.finfo(float).eps * (2.0 * x * x + 1.0))
+    return (x, 0.0, math.sqrt(x * x + 1.0 + factor * tol))
+
+
+class TestFiniteScale:
+    # x^2 + y^2 + t^2 overflows float64 in each vector below, so the
+    # scale-relative tolerance would be inf.  B(p,p)+1 is inf for the first
+    # point and 6.9e307 for the second.
+    @pytest.mark.parametrize("coords", [(math.inf, 0.0, 1.0), (1e154, 0.0, 1.3e154)])
+    def test_point_rejected(self, coords):
+        with pytest.raises(GeometryError):
+            HPoint(*coords)
+
+    @pytest.mark.parametrize("coords", [(math.inf, 0.0, 1.0), (1.3e154, 0.0, 1e154)])
+    def test_line_rejected(self, coords):
+        with pytest.raises(GeometryError):
+            HLine(*coords)
+
+    def test_unit_spacelike_rejects_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="not spacelike"):
+                unit_spacelike(np.array([1.3e154, 0.0, 1e154]))
+
+    def test_off_sheet_agrees_with_point(self):
+        table = [  # row, whether HPoint rejects it
+            ((0.0, 0.0, 1.0), False),
+            ((math.inf, 0.0, 1.0), True),
+            ((0.0, math.nan, 1.0), True),
+            ((0.0, 0.0, math.nan), True),
+            ((1e154, 0.0, 1.3e154), True),
+            ((0.0, 0.0, -1.0), True),
+            ((0.0, 0.0, 0.0), True),
+            (near_tolerance(0.0, 0.9), False),
+            (near_tolerance(0.0, 1.1), True),
+            (near_tolerance(1e6, 0.9), False),
+            (near_tolerance(1e6, 1.1), True),
+            (near_tolerance(1e150, 0.9), False),
+            (near_tolerance(1e150, 1.1), True),
+        ]
+        flags = off_sheet(np.array([row for row, _ in table])).tolist()
+        for (row, rejected), flag in zip(table, flags):
+            try:
+                HPoint(*row)
+                verdict = False
+            except GeometryError:
+                verdict = True
+            assert (verdict, flag) == (rejected, rejected), row
 
 
 class TestLineThrough:

@@ -1,13 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hypwidth.corpus import nested_pair, random_convex_polygon
-from hypwidth.errors import NonConvex, TooFewVertices
+from hypwidth.errors import GeometryError, NonConvex, TooFewVertices
 from hypwidth.hcore import HPoint, chart_to_hyperboloid, dist_pp, signed_dist
 from hypwidth.polygon import (area, contains, make_polygon, perimeter,
-                              side_line)
+                              polygon_from_rows, side_line)
 from hypwidth.reduced import regular_ngon
 
 
@@ -59,6 +60,46 @@ class TestMakePolygon:
             for order in (star, star[::-1]):
                 with pytest.raises(NonConvex):
                     klein_polygon(order)
+
+
+class TestOneConstructor:
+    def test_empty_points_too_few(self):
+        with pytest.raises(TooFewVertices):
+            make_polygon([])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_points_and_rows_agree(self, reverse):
+        rng = np.random.default_rng(13)
+        for V in [regular_ngon(5, 1.0), regular_ngon(101, 2.0)] + [
+                random_convex_polygon(rng, int(rng.integers(3, 12))) for _ in range(10)]:
+            pts = V.vertices[::-1] if reverse else V.vertices
+            W = make_polygon(pts)
+            U = polygon_from_rows(V.vertex_matrix[::-1] if reverse else V.vertex_matrix)
+            assert W.vertex_matrix.tobytes() == U.vertex_matrix.tobytes()
+            assert W == U and hash(W) == hash(U) and repr(W) == repr(U)
+            assert set(W.vertices) == set(pts)
+
+
+class TestCoordinateDomain:
+    # x^2 + y^2 + t^2 overflows float64 in each row; B(p,p)+1 is inf for the
+    # first and 6.9e307 for the second.
+    ROWS = [(math.inf, 0.0, 1.0), (1e154, 0.0, 1.3e154)]
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_polygon_from_rows_rejects(self, row):
+        m = regular_ngon(5, 1.0).vertex_matrix.copy()
+        m[0] = row
+        with pytest.raises(GeometryError, match="unit hyperboloid"):
+            polygon_from_rows(m)
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_make_polygon_rejects(self, row):
+        # HPoint rejects these coordinates, so they come in an unvalidated
+        # stand-in: make_polygon validates the coordinates it is given.
+        pts = list(regular_ngon(5, 1.0).vertices)
+        pts[0] = SimpleNamespace(x=row[0], y=row[1], t=row[2])
+        with pytest.raises(GeometryError, match="unit hyperboloid"):
+            make_polygon(pts)
 
 
 class TestEquality:
