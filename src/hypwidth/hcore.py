@@ -9,8 +9,9 @@ diagonal, the sheet normalisation and the disk-chart formulas live here only.
 row, and ``angle_from_sides`` takes arrays of side lengths.  ``off_sheet``,
 ``chart_rows_to_hyperboloid`` and ``polar_rows`` are the array forms of
 ``HPoint``'s validation, ``chart_to_hyperboloid`` and ``polar_point``, with
-the same arithmetic row by row.  All functions are pure and all value types
-are immutable, so everything here is safe to call concurrently.
+the same arithmetic row by row, and ``lines_from_normals`` validates rows as
+``HLine`` does.  All functions are pure and all value types are immutable,
+so everything here is safe to call concurrently.
 
 Far from the origin the form evaluates with catastrophic cancellation
 (coordinates grow like cosh of the distance), so the unit-norm tolerances are
@@ -85,6 +86,18 @@ def _norm_tol(x: float, y: float, t: float) -> float:
     return tol if tol < math.inf else math.nan
 
 
+def _off_unit(a: np.ndarray, norm: float) -> np.ndarray:
+    """Which rows of an (n, 3) array have |B(r, r) - norm| beyond the unit-norm
+    tolerance of HPoint (norm -1) and HLine (norm 1), or NaN, or an
+    overflowing tolerance.  Rows that overflow fail silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = a * a
+        xy = sq[:, 0] + sq[:, 1]
+        err = np.abs(xy - sq[:, 2] - norm)
+        tol = np.maximum(UNIT_NORM_TOL, 64.0 * _EPS * (xy + sq[:, 2]))
+        return ~(err <= tol) | (tol == math.inf)
+
+
 def off_sheet(a: np.ndarray) -> np.ndarray:
     """Which rows of an (n, 3) array HPoint rejects, by its predicate and tolerance.
 
@@ -92,12 +105,7 @@ def off_sheet(a: np.ndarray) -> np.ndarray:
     is NaN), when that tolerance overflows, or when t <= 0.  Rows that
     overflow fail silently.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = a * a
-        xy = sq[:, 0] + sq[:, 1]
-        err = np.abs(xy - sq[:, 2] + 1.0)
-        tol = np.maximum(UNIT_NORM_TOL, 64.0 * _EPS * (xy + sq[:, 2]))
-        return ~(err <= tol) | (tol == math.inf) | (a[:, 2] <= 0.0)
+    return _off_unit(a, -1.0) | (a[:, 2] <= 0.0)
 
 
 @dataclass(frozen=True)
@@ -173,17 +181,24 @@ class HLine:
 
 
 def lines_from_normals(u) -> tuple[HLine, ...]:
-    """One validated HLine per row of an (n, 3) array of unit line normals.
+    """One HLine per row of an (n, 3) array of unit line normals.
 
-    The rows are copied once into a read-only array, and each line's vec is
-    its row of that copy, so reading vec builds no array.
+    The rows are validated together with HLine's predicate and tolerance;
+    the first one HLine rejects raises HLine's GeometryError.  They are
+    copied once into a read-only array, and each line's vec is its row of
+    that copy, so reading vec builds no array.
     """
     rows = np.array(u, dtype=float)
+    bad = np.flatnonzero(_off_unit(rows, 1.0))
+    if bad.size:
+        HLine(*rows[bad[0]].tolist())  # raises HLine's error for that row
     rows.flags.writeable = False
-    lines = tuple(HLine(*r) for r in rows.tolist())
-    for line, r in zip(lines, rows):
-        line.__dict__["vec"] = r  # where the cached property keeps its value
-    return lines
+    lines = []
+    for (ux, uy, ut), r in zip(rows.tolist(), rows):
+        line = object.__new__(HLine)  # validated above; skips __post_init__
+        line.__dict__.update(ux=ux, uy=uy, ut=ut, vec=r)
+        lines.append(line)
+    return tuple(lines)
 
 
 @dataclass(frozen=True)
@@ -221,7 +236,7 @@ def unit_spacelike(v) -> HLine:
     """Rescale a spacelike vector to a unit line normal; reject one whose scale overflows."""
     x, y, t = np.asarray(v, dtype=float).tolist()  # floats overflow to inf silently
     n = x * x + y * y - t * t
-    if n <= 64.0 * _EPS * (x * x + y * y + t * t):
+    if not n > 64.0 * _EPS * (x * x + y * y + t * t):  # NaN from inf - inf too
         raise GeometryError("vector is not spacelike")
     s = math.sqrt(n)
     return HLine(x / s, y / s, t / s)

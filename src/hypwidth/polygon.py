@@ -93,6 +93,40 @@ class ConvexPolygon:
         """The side lines; each one's vec equals its row of side_normals."""
         return lines_from_normals(self.side_normals)
 
+    @cached_property
+    def pencils(self) -> tuple[np.ndarray, ...]:
+        """The vertex pencils: read-only arrays (u0, e, omega, cos_w, sin_w, a, b).
+
+        Row i belongs to vertex i: u0 is the normal of side i - 1, and the
+        pencil u0 cos(theta) + e sin(theta) reaches the normal of side i at
+        omega, with cos_w and sin_w its cosine and sine.  a and b hold
+        a_ij = B(v_j, u0_i) and b_ij = B(v_j, e_i) with row i cut to its
+        cyclic column range from f_i = argmax_j a_ij (the lowest index among
+        ties) to f_{i+1}; the ``hypwidth.width`` module docstring shows why
+        the envelope needs no other column.  Column 0 of each row is f_i, and
+        a row shorter than the longest repeats its last column f_{i+1}; a
+        repeat ties the column it copies and comes after it, so it never
+        becomes the top of a sweep or changes a maximum.  The n x n products
+        that give a, b and f are formed here once and not kept; a and b are
+        n x w, w the longest range.
+        """
+        u1, g, n = self.side_normals, self.mink_rows, self.n
+        u0 = u1[np.arange(-1, n - 1)]  # row i is side i - 1
+        cos_w = np.clip(mink(u0, u1), -1.0, 1.0)
+        omega = np.arccos(cos_w)
+        sin_w = np.sin(omega)
+        # A straight angle leaves u1 = u0 and nothing to sweep; any finite e does.
+        e = (u1 - cos_w[:, None] * u0) / np.where(sin_w > 0.0, sin_w, 1.0)[:, None]
+        a = u0 @ g.T
+        f = a.argmax(axis=1)
+        last = (np.concatenate((f[1:], f[:1])) - f) % n
+        cols = (f[:, None] + np.minimum(np.arange(last.max() + 1), last[:, None])) % n
+        cols += np.arange(0, n * n, n)[:, None]  # positions in the flat n x n arrays
+        table = (u0, e, omega, cos_w, sin_w, a.take(cols), (e @ g.T).take(cols))
+        for x in table:
+            x.flags.writeable = False
+        return table
+
 
 def line_normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit normals of the lines from row a_j to row b_j, and their scales.

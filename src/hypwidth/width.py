@@ -27,8 +27,10 @@ at omega.  No vertex outside the cyclic range from f_i to f_{i+1} reaches
 the envelope inside the pencil, and the sweep and the peaks read only that
 range (rotating calipers, after Toussaint 1983).  The ranges overlap only at
 their ends and go round the cycle once, so their lengths add up to about
-2n, and each is padded to the longest; the n x n products that give a_j,
-b_j and f_i are still formed in full.
+2n, and each is padded to the longest.  The frames and the cut ranges are
+one table per polygon, ``ConvexPolygon.pencils``, shared by every query
+here; the n x n products that give a_j, b_j and f_i are formed once per
+polygon, when that table is built, and not kept.
 """
 
 from __future__ import annotations
@@ -78,24 +80,10 @@ def pencil_line(V: ConvexPolygon, i: int, s: float) -> HLine:
     s = 0 gives the side line ending at vertex i, s = 1 the one starting
     there; interior s touch the polygon at vertex i only.
     """
-    u0, e, omega = (a[i % V.n] for a in _pencil_frames(V)[:3])
-    return HLine.from_vec(u0 * math.cos(s * omega) + e * math.sin(s * omega))
-
-
-def _pencil_frames(V: ConvexPolygon):
-    """The frame (u0, e, omega) of every vertex pencil, with cos and sin of omega.
-
-    Row i belongs to vertex i: u0 is the normal of side i-1 and the pencil
-    u0 cos(theta) + e sin(theta) reaches the normal of side i at omega.
-    """
-    u1 = V.side_normals
-    u0 = u1[np.arange(-1, V.n - 1)]  # row i is side i - 1
-    cos_w = np.clip(mink(u0, u1), -1.0, 1.0)
-    omega = np.arccos(cos_w)
-    sin_w = np.sin(omega)
-    # A straight angle leaves u1 = u0 and nothing to sweep; any finite e does.
-    e = (u1 - cos_w[:, None] * u0) / np.where(sin_w > 0.0, sin_w, 1.0)[:, None]
-    return u0, e, omega, cos_w, sin_w
+    u0, e, omega = V.pencils[:3]
+    i %= V.n
+    w = s * omega[i]
+    return HLine.from_vec(u0[i] * math.cos(w) + e[i] * math.sin(w))
 
 
 def _pencil_peaks(p: np.ndarray, q: np.ndarray, cos_w, sin_w) -> np.ndarray:
@@ -111,32 +99,13 @@ def _pencil_peaks(p: np.ndarray, q: np.ndarray, cos_w, sin_w) -> np.ndarray:
     return np.where(inside, np.hypot(p, q), np.abs(p))
 
 
-def _pencil_ranges(V: ConvexPolygon):
-    """The pencil frames of V, then a_ij = B(v_j, u0_i) and b_ij = B(v_j, e_i)
-    with row i cut to its cyclic column range from f_i to f_{i+1}.
-
-    f_i = argmax_j a_ij is the top of pencil i at theta = 0 (the lowest
-    index among ties), so column 0 of each result row is f_i.  A row shorter
-    than the longest repeats its last column f_{i+1}; a repeat ties the
-    column it copies and comes after it, so it never becomes the top of a
-    sweep or changes a maximum.
-    """
-    u0, e, omega, cos_w, sin_w = _pencil_frames(V)
-    n, a = V.n, u0 @ V.mink_rows.T
-    f = a.argmax(axis=1)
-    last = (np.concatenate((f[1:], f[:1])) - f) % n
-    cols = (f[:, None] + np.minimum(np.arange(last.max() + 1), last[:, None])) % n
-    cols += np.arange(0, n * n, n)[:, None]  # positions in the flat n x n arrays
-    return u0, e, omega, cos_w, sin_w, a.take(cols), (e @ V.mink_rows.T).take(cols)
-
-
 def _envelope_minima(a: np.ndarray, b: np.ndarray, omega: np.ndarray):
     """Minimum of each row's envelope at theta = 0 and its breakpoints in (0, omega).
 
     The envelope of row i is max_j (a_ij cos(theta) + b_ij sin(theta)), and
-    column 0 of each row is its top at theta = 0 (``_pencil_ranges``).  All
-    rows sweep their envelopes together, left to right, one breakpoint per
-    step.  Another sinusoid overtakes the active one at the relative angle
+    column 0 of each row is its top at theta = 0 (``ConvexPolygon.pencils``).
+    All rows sweep their envelopes together, left to right, one breakpoint
+    per step.  Another sinusoid overtakes the active one at the relative angle
     atan2(-x, y), where x <= 0 is its value gap and y its slope gap; the
     smallest such angle is the next breakpoint.  A sinusoid tied with the
     active one and steeper takes over at once, and at a fixed angle every
@@ -177,26 +146,29 @@ def _envelope_minima(a: np.ndarray, b: np.ndarray, omega: np.ndarray):
             rows = rows[:live.size]
 
 
-def _oriented_support_values(V: ConvexPolygon, L: HLine) -> np.ndarray:
-    """B(v_j, u) for all vertices, after checking that L supports V.
+def _oriented_support_values(V: ConvexPolygon, L: HLine) -> tuple[np.ndarray, int]:
+    """B(v_j, u) for all vertices, after checking that L supports V, and the
+    index of their maximum.
 
-    Returned values are flipped to the nonnegative side.  Raises
+    Returned values are flipped to the nonnegative side, and the index is
+    that of their first maximum, so ties go to the lowest index.  Raises
     NotSupporting when vertices lie strictly on both sides or none touches
     the line.  The extreme values decide all three: the vertices lie on the
     positive side when the minimum is >= -SUPPORT_TOL, else on the negative
     side when the maximum is <= SUPPORT_TOL, and one touches the line when
     the oriented minimum (minus the maximum, after a flip) is <= SUPPORT_TOL.
-    A NaN value fails both side tests.
+    A NaN value fails both side tests: argmin and argmax both find the first NaN.
     """
-    b = V.mink_rows @ L.vec
-    low, high = b.min(), b.max()
+    b = V.mink_rows.dot(L.vec)
+    lo, hi = b.argmin(), b.argmax()
+    low = b[lo]
     if not low >= -SUPPORT_TOL:
-        if not high <= SUPPORT_TOL:
+        if not b[hi] <= SUPPORT_TOL:
             raise NotSupporting("polygon has vertices strictly on both sides of the line")
-        b, low = -b, -high
+        b, low, hi = -b, -b[hi], lo
     if low > SUPPORT_TOL:
         raise NotSupporting("no polygon vertex touches the line")
-    return b
+    return b, int(hi)
 
 
 def width_line(V: ConvexPolygon, L: HLine) -> WidthReport:
@@ -205,8 +177,7 @@ def width_line(V: ConvexPolygon, L: HLine) -> WidthReport:
     For a polygon the farthest point from L is always a vertex, so this is a
     maximum of vertex distances; ties go to the lowest index.
     """
-    b = _oriented_support_values(V, L)
-    k = int(b.argmax())
+    b, k = _oriented_support_values(V, L)
     return WidthReport(line=L, width=math.asinh(float(b[k])), farthest_vertex_index=k)
 
 
@@ -221,7 +192,7 @@ def width_ultraparallel_oracle(V: ConvexPolygon, L: HLine) -> float:
     family is covered.
     """
     _oriented_support_values(V, L)
-    u0, e, _, cos_w, sin_w = _pencil_frames(V)
+    u0, e, _, cos_w, sin_w, _, _ = V.pencils
     c = float(np.max(_pencil_peaks(mink(u0, L), mink(e, L), cos_w, sin_w)))
     # 0 whenever no supporting line is ultraparallel to L.
     return math.acosh(c) if c > 1.0 else 0.0
@@ -229,7 +200,7 @@ def width_ultraparallel_oracle(V: ConvexPolygon, L: HLine) -> float:
 
 def thickness(V: ConvexPolygon) -> ThicknessReport:
     """Minimum width over all supporting lines of V."""
-    u0, e, omega, _, _, a, b = _pencil_ranges(V)
+    u0, e, omega, _, _, a, b = V.pencils
     low, low_at = _envelope_minima(a, b, omega)
     i = int(np.argmin(low))
     best_val = math.asinh(max(float(low[i]), 0.0))
@@ -261,6 +232,6 @@ def diameter_via_width(V: ConvexPolygon) -> float:
     line is perpendicular to the segment v_i v_j, if that line lies in the
     pencil; otherwise at a side line.
     """
-    _, _, _, cos_w, sin_w, a, b = _pencil_ranges(V)
+    _, _, _, cos_w, sin_w, a, b = V.pencils
     peak = float(np.max(_pencil_peaks(a, b, cos_w[:, None], sin_w[:, None])))
     return math.asinh(max(peak, 0.0))

@@ -199,6 +199,14 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("line", ["1e200,0,1e200", "1e200,0,0", "nan,0,1"])
+    def test_unspacelike_line_is_2(self, capsys, caplog, pentagon_file, line):
+        # B(u,u) of the first line is inf - inf = NaN; all three name that fault.
+        code, out = run(capsys, "width", "--input", pentagon_file, "--line", line)
+        assert code == 2
+        assert out == ""
+        assert "validation error: vector is not spacelike" in caplog.text
+
     def test_negative_perturbations_is_2(self, capsys):
         code, out = run(capsys, "scan", "--ns", "5", "--deltas", "1",
                         "--perturbations", "-1")

@@ -138,6 +138,13 @@ class TestFiniteScale:
             with pytest.raises(GeometryError, match="not spacelike"):
                 unit_spacelike(np.array([1.3e154, 0.0, 1e154]))
 
+    @pytest.mark.parametrize("v", [(1e200, 0.0, 1e200), (1e200, 0.0, 0.0), (math.nan, 0.0, 1.0)],
+                             ids=["inf-minus-inf", "inf", "nan"])
+    def test_unit_spacelike_names_a_nan_norm_not_spacelike(self, v):
+        # x^2 + y^2 - t^2 is inf - inf = NaN for the first vector.
+        with pytest.raises(GeometryError, match="^vector is not spacelike$"):
+            unit_spacelike(np.array(v))
+
     def test_off_sheet_agrees_with_point(self):
         table = [  # row, whether HPoint rejects it
             ((0.0, 0.0, 1.0), False),
@@ -208,6 +215,40 @@ class TestLinesFromNormals:
     def test_rows_validated(self):
         with pytest.raises(GeometryError):
             lines_from_normals([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 1.0, 0.0),
+        (0.0, 2.0, 0.0),
+        (1.3e154, 0.0, 1e154),
+        (1e200, 0.0, 1e200),
+    ], ids=["nan", "not-unit", "overflow", "overflow-nan"])
+    def test_first_bad_row_raises_hlines_error(self, bad):
+        # A good row before it, and a bad row with another message after it.
+        with pytest.raises(GeometryError) as want:
+            HLine(*bad)
+        with pytest.raises(GeometryError) as got:
+            lines_from_normals([[0.0, 1.0, 0.0], bad, [0.0, 3.0, 0.0]])
+        assert str(got.value) == str(want.value)
+
+    def test_lines_equal_hlines_built_one_by_one(self, rng):
+        u = np.array([random_line(rng).vec for _ in range(20)]
+                     + [[0.0, 1.0, 0.0], [-0.0, -1.0, 0.0], [1.0, 0.0, -0.0]])
+        lines = lines_from_normals(u)
+        for L, row in zip(lines, u.tolist()):
+            H = HLine(*row)
+            assert type(L) is HLine
+            assert L == H and hash(L) == hash(H) and repr(L) == repr(H)
+            assert L.canonical() == H.canonical()
+
+    def test_vec_is_the_read_only_row(self, rng):
+        u = np.array([random_line(rng).vec for _ in range(6)])
+        lines = lines_from_normals(u)
+        rows = lines[0].vec.base
+        assert rows is not None and not rows.flags.writeable
+        assert np.array_equal(rows, u)
+        for k, L in enumerate(lines):
+            assert L.vec.base is rows
+            assert np.shares_memory(L.vec, rows[k])
 
 
 class TestLorentzCross:

@@ -8,7 +8,7 @@ from hypwidth.errors import NotSupporting
 from hypwidth.extremal import rhombus
 from hypwidth.hcore import (HLine, HPoint, apply_isometry, chart_to_hyperboloid,
                             random_isometry, rotation, signed_dist, to_sheet, translation_x)
-from hypwidth.polygon import make_polygon, side_line
+from hypwidth.polygon import make_polygon, polygon_from_rows, side_line
 from hypwidth.reduced import regular_apothem, regular_ngon, regular_ngon_with_thickness
 from hypwidth.width import (SUPPORT_TOL, diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
@@ -396,3 +396,62 @@ class TestPencilRanges:
             finally:
                 tracemalloc.stop()
             assert peak <= 3 * 8 * n * n
+
+
+def pencil_queries(V):
+    """Every query that reads the pencil table, by name, as hex floats and array bytes."""
+    n = V.n
+    sides = sorted({0, n // 3, n - 1})
+    queries = {"diameter_via_width": lambda: diameter_via_width(V).hex()}
+
+    def thick():
+        rep = thickness(V)
+        return (rep.thickness.hex(), rep.argmin_line.vec.tobytes(), rep.achieved_on_side)
+    queries["thickness"] = thick
+    for j in sides:
+        queries[f"oracle {j}"] = lambda j=j: width_ultraparallel_oracle(V, side_line(V, j)).hex()
+    for i in sides:
+        for s in (0.0, 0.4, 1.0):
+            queries[f"pencil {i} {s}"] = lambda i=i, s=s: pencil_line(V, i, s).vec.tobytes()
+    return queries
+
+
+def cached_arrays(V):
+    """Every array a polygon caches, its pencil table and side lines included."""
+    out = []
+    for value in vars(V).values():
+        values = value if isinstance(value, tuple) else (value,)
+        out += [getattr(x, "vec", x) for x in values]
+    return [x for x in out if isinstance(x, np.ndarray)]
+
+
+class TestPencilTable:
+    def test_query_order_does_not_change_results(self, families):
+        for V in families:
+            results = []
+            for reverse in (False, True):
+                W = polygon_from_rows(V.vertex_matrix)
+                queries = pencil_queries(W)
+                names = sorted(queries, reverse=reverse)
+                results.append({name: queries[name]() for name in names})
+            assert results[0] == results[1]
+
+    def test_cached_arrays_are_read_only(self, families):
+        for V in families[::7]:
+            W = polygon_from_rows(V.vertex_matrix)
+            for query in pencil_queries(W).values():
+                query()
+            arrays = cached_arrays(W)
+            assert len(arrays) >= 7 + W.n
+            assert not any(x.flags.writeable for x in arrays)
+
+    def test_no_cached_array_is_n_by_n(self):
+        n = 1001
+        for V in (regular_ngon(n, 1.3),
+                  jittered_circle_polygon(np.random.default_rng(1001), n, 1.5, 1.0)):
+            for query in pencil_queries(V).values():
+                query()
+            width_line(V, side_line(V, 5))
+            arrays = cached_arrays(V)
+            assert len(arrays) >= 7 + n
+            assert max(x.size for x in arrays) < n * n
