@@ -247,14 +247,14 @@ def lorentz_cross(a, b) -> np.ndarray:
 
     Stacked (..., 3) arrays give one product per row.  The components are
     (a1 b2 - a2 b1, a2 b0 - a0 b2, a1 b0 - a0 b1), from two gathers of each
-    of a and b.  ``np.take`` keeps the result C-ordered, as indexing the last
+    of a and b.  ``take`` keeps the result C-ordered, as indexing the last
     axis with an array would not; BLAS products of the result (the side
     normals in ``extremal.indisk``) round differently in the other order.
     """
     a = _vec3(a, stacked=True)
     b = _vec3(b, stacked=True)
-    return (np.take(a, _CROSS_P, axis=-1) * np.take(b, _CROSS_Q, axis=-1)
-            - np.take(a, _CROSS_Q, axis=-1) * np.take(b, _CROSS_P, axis=-1))
+    return (a.take(_CROSS_P, axis=-1) * b.take(_CROSS_Q, axis=-1)
+            - a.take(_CROSS_Q, axis=-1) * b.take(_CROSS_P, axis=-1))
 
 
 def dist_pp(p, q):

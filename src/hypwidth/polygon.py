@@ -15,9 +15,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import GeometryError, NonConvex, TooFewVertices
+from .errors import EvenGon, GeometryError, NonConvex, TooFewVertices
 from .hcore import (MINK_DIAG, HLine, HPoint, angle_at, dist_pp, hyperboloid_to_chart,
-                    lines_from_normals, lorentz_cross, mink, off_sheet)
+                    lines_from_normals, lorentz_cross, mink, off_sheet, to_sheet)
 
 # Strict left-turn threshold on Klein-chart cross products.
 CONVEXITY_TOL = 1e-12
@@ -94,38 +94,91 @@ class ConvexPolygon:
         return lines_from_normals(self.side_normals)
 
     @cached_property
-    def pencils(self) -> tuple[np.ndarray, ...]:
-        """The vertex pencils: read-only arrays (u0, e, omega, cos_w, sin_w, a, b).
+    def pencil_frames(self) -> tuple[np.ndarray, ...]:
+        """The frames of the vertex pencils: read-only arrays (u0, e, omega, cos_w, sin_w).
 
         Row i belongs to vertex i: u0 is the normal of side i - 1, and the
         pencil u0 cos(theta) + e sin(theta) reaches the normal of side i at
-        omega, with cos_w and sin_w its cosine and sine.  a and b hold
-        a_ij = B(v_j, u0_i) and b_ij = B(v_j, e_i) with row i cut to its
-        cyclic column range from f_i = argmax_j a_ij (the lowest index among
-        ties) to f_{i+1}; the ``hypwidth.width`` module docstring shows why
-        the envelope needs no other column.  Column 0 of each row is f_i, and
-        a row shorter than the longest repeats its last column f_{i+1}; a
-        repeat ties the column it copies and comes after it, so it never
-        becomes the top of a sweep or changes a maximum.  The n x n products
-        that give a, b and f are formed here once and not kept; a and b are
-        n x w, w the longest range.
+        omega, with cos_w and sin_w its cosine and sine.  Each array has one
+        entry or row per vertex.
         """
-        u1, g, n = self.side_normals, self.mink_rows, self.n
+        u1, n = self.side_normals, self.n
         u0 = u1[np.arange(-1, n - 1)]  # row i is side i - 1
         cos_w = np.clip(mink(u0, u1), -1.0, 1.0)
         omega = np.arccos(cos_w)
         sin_w = np.sin(omega)
         # A straight angle leaves u1 = u0 and nothing to sweep; any finite e does.
         e = (u1 - cos_w[:, None] * u0) / np.where(sin_w > 0.0, sin_w, 1.0)[:, None]
+        frames = (u0, e, omega, cos_w, sin_w)
+        for x in frames:
+            x.flags.writeable = False
+        return frames
+
+    @cached_property
+    def pencils(self) -> tuple[np.ndarray, ...]:
+        """The vertex pencils: read-only arrays (u0, e, omega, cos_w, sin_w, a, b).
+
+        The first five are ``pencil_frames``.  a and b hold a_ij = B(v_j, u0_i)
+        and b_ij = B(v_j, e_i) with row i cut to its cyclic column range from
+        f_i = argmax_j a_ij (the lowest index among ties) to f_{i+1}; the
+        ``hypwidth.width`` module docstring shows why the envelope needs no
+        other column.  Column 0 of each row is f_i, and a row shorter than the
+        longest repeats its last column f_{i+1}; a repeat ties the column it
+        copies and comes after it, so it never becomes the top of a sweep or
+        changes a maximum.  The n x n products that give a, b and f are formed
+        here once and not kept; a and b are n x w, w the longest range.
+        """
+        frames, g, n = self.pencil_frames, self.mink_rows, self.n
+        u0, e = frames[:2]
         a = u0 @ g.T
         f = a.argmax(axis=1)
         last = (np.concatenate((f[1:], f[:1])) - f) % n
         cols = (f[:, None] + np.minimum(np.arange(last.max() + 1), last[:, None])) % n
         cols += np.arange(0, n * n, n)[:, None]  # positions in the flat n x n arrays
-        table = (u0, e, omega, cos_w, sin_w, a.take(cols), (e @ g.T).take(cols))
-        for x in table:
+        cut = (a.take(cols), (e @ g.T).take(cols))
+        for x in cut:
             x.flags.writeable = False
-        return table
+        return frames + cut
+
+    @cached_property
+    def opposite(self) -> tuple:
+        """Every vertex against its opposite side: (s, dists, feet, margins, spread).
+
+        Defined for odd n only; an even n raises EvenGon from
+        ``opposite_side``.  Row i belongs to vertex i and the side opposite
+        it, side i + (n-1)/2, whose unit normal u_i is that row of
+        side_normals.  s_i = B(v_i, u_i), dists holds the distances
+        |asinh(s_i)| from each vertex to that side's line, feet the feet of
+        those perpendiculars as hyperboloid rows, and margins the feet's
+        Klein-chart barycentric margins min(lam, 1 - lam) inside their sides;
+        spread is max dists - min dists.  The arrays are read-only; nothing
+        here depends on a tolerance.
+        """
+        ia, ib = opposite_side(np.arange(self.n), self.n)
+        m, u = self.vertex_matrix, self.side_normals[ia]
+        s = mink(m, u)
+        dists = np.abs(np.arcsinh(s))
+        # The projection v - B(v, u) u is a positive multiple of the foot.
+        feet = to_sheet(m - s[:, None] * u)
+        k = self.klein
+        edge = k[ib] - k[ia]
+        lam = (np.sum((hyperboloid_to_chart(feet, "klein") - k[ia]) * edge, axis=1)
+               / np.sum(edge * edge, axis=1))
+        margins = np.minimum(lam, 1.0 - lam)
+        for x in (s, dists, feet, margins):
+            x.flags.writeable = False
+        return s, dists, feet, margins, float(dists.max() - dists.min())
+
+
+def opposite_side(i: int, n: int) -> tuple[int, int]:
+    """Endpoint indices of the side opposite vertex i of an odd n-gon.
+
+    Returns (i + (n-1)/2, i + (n+1)/2) modulo n.  Indices are 0-based; an
+    index array gives two arrays.
+    """
+    if n < 3 or n % 2 == 0:
+        raise EvenGon(f"opposite side requires an odd n >= 3, got n = {n}")
+    return ((i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n)
 
 
 def line_normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

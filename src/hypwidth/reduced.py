@@ -13,8 +13,12 @@ system, from a QR factorisation of the transposed Jacobian.  The line
 search's trial points and the convergence test evaluate the residuals alone;
 the Jacobian is built once per step, from the values the residuals computed
 at the accepted point.  The check, the solver's final verdict and the
-boundary halving share one vectorised criterion kernel, built on one
-computation of every vertex's distance to its opposite side line.
+boundary halving share one criterion kernel: the tolerance-free arrays of
+every vertex against its opposite side line are one read-only table per
+polygon, ``ConvexPolygon.opposite``, built once and read by every later
+call.  The solver seeds the side normals of the polygon it returns with the
+normals its last residual evaluation computed, so that table costs no
+further cross product.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ import numpy as np
 
 from .errors import (BracketFailure, EvenGon, GeometryError, LeftFamily,
                      NoConvergence, NonConvex, NotOrdinaryReduced)
-from .hcore import (MINK_DIAG, HPoint, angle_from_sides, dist_pp, hyperboloid_to_chart,
-                    lorentz_cross, mink, off_sheet, polar_rows, to_sheet)
-from .polygon import ConvexPolygon, line_normals, polygon_from_rows
+from .hcore import (MINK_DIAG, HPoint, angle_from_sides, dist_pp, lorentz_cross, mink,
+                    off_sheet, polar_rows)
+from .polygon import ConvexPolygon, line_normals, opposite_side, polygon_from_rows
 from .width import diameter, thickness
 
 REDUCED_TOL = 1e-9
@@ -39,16 +43,7 @@ HALVING_TOL = 1e-8
 SOLVER_RESIDUAL_TOL = 1e-10
 SOLVER_MAX_ITERATIONS = 200
 
-
-def opposite_side(i: int, n: int) -> tuple[int, int]:
-    """Endpoint indices of the side opposite vertex i of an odd n-gon.
-
-    Returns (i + (n-1)/2, i + (n+1)/2) modulo n.  Indices are 0-based; an
-    index array gives two arrays.
-    """
-    if n < 3 or n % 2 == 0:
-        raise EvenGon(f"opposite side requires an odd n >= 3, got n = {n}")
-    return ((i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -105,42 +100,21 @@ class ReducednessReport:
                 "mean_distance={!r})".format(*self._key()))
 
 
-def _opposite_values(pts: np.ndarray, ia: np.ndarray,
-                     ib: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B(v_i, u_i) for every vertex row v_i of an odd cycle, with u_i and its scale.
-
-    u_i is the unit normal of the side opposite vertex i, from row ia[i] to
-    row ib[i] (``opposite_side`` of every index), and the scale is the
-    Lorentz norm of the cross product it was divided by (see
-    ``line_normals``).  asinh(B(v_i, u_i)) is the signed distance from v_i to
-    that side line.
-    """
-    u, N = line_normals(pts[ia], pts[ib])
-    return mink(pts, u), u, N
-
-
 def _criterion(V: ConvexPolygon, tol: float):
     """The ordinary-reducedness criterion of V as arrays.
 
     Returns the distances d_i from each vertex to its opposite side line, the
     feet of those perpendiculars as hyperboloid rows, the feet's Klein-chart
     barycentric margins inside their sides, the spread max d_i - min d_i and
-    the verdict: every margin >= tol and the spread <= tol.  Raises
-    GeometryError unless tol is finite and >= 0.
+    the verdict: every margin >= tol and the spread <= tol.  The arrays are
+    the polygon's one read-only table ``ConvexPolygon.opposite``, built on the
+    first call for that polygon (or seeded by the solver through its side
+    normals) and shared by every later call whatever its tolerance; only the
+    verdict reads tol.  Raises GeometryError unless tol is finite and >= 0.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise GeometryError(f"tolerance must be finite and >= 0, got {tol}")
-    ia, ib = opposite_side(np.arange(V.n), V.n)
-    s, u, _ = _opposite_values(V.vertex_matrix, ia, ib)
-    dists = np.abs(np.arcsinh(s))
-    # The projection v - B(v, u) u is a positive multiple of the foot.
-    feet = to_sheet(V.vertex_matrix - s[:, None] * u)
-    k = V.klein
-    edge = k[ib] - k[ia]
-    lam = (np.sum((hyperboloid_to_chart(feet, "klein") - k[ia]) * edge, axis=1)
-           / np.sum(edge * edge, axis=1))
-    margins = np.minimum(lam, 1.0 - lam)
-    spread = float(dists.max() - dists.min())
+    _, dists, feet, margins, spread = V.opposite
     return dists, feet, margins, spread, bool(np.all(margins >= tol)) and spread <= tol
 
 
@@ -223,7 +197,10 @@ def regular_ngon_with_thickness(n: int, delta: float,
 def _lift(x: np.ndarray) -> np.ndarray:
     """Hyperboloid rows (x, y, sqrt(1 + x^2 + y^2)) of flat (x, y) coordinates."""
     xy = x.reshape(-1, 2)
-    return np.column_stack([xy, np.sqrt(1.0 + xy[:, 0] ** 2 + xy[:, 1] ** 2)])
+    v = np.empty((xy.shape[0], 3))
+    v[:, :2] = xy
+    v[:, 2] = np.sqrt(1.0 + xy[:, 0] ** 2 + xy[:, 1] ** 2)
+    return v
 
 
 class _Frame(NamedTuple):
@@ -263,15 +240,21 @@ def _residuals(x: np.ndarray, delta: float, frame: _Frame):
     x holds the (x, y) hyperboloid coordinates of the vertices.  Residual i
     is the distance from v_i to the line through the ends of its opposite
     side minus delta; the three gauge residuals of ``_Frame`` follow.  The
-    second result holds the lifted vertices v and, from
-    ``_opposite_values``, B(v_i, u_i), the normals u_i and their scales N.
+    second result holds the lifted vertices v, B(v_i, u_i) with u_i the unit
+    normal of the side opposite v_i, the normals u_i and their scales N (see
+    ``line_normals``).  asinh(B(v_i, u_i)) is the signed distance from v_i to
+    that side's line.
     """
     v = _lift(x)
-    f, u, N = _opposite_values(v, frame.ia, frame.ib)
+    u, N = line_normals(v[frame.ia], v[frame.ib])
+    f = mink(v, u)
+    n = f.shape[0]
     e = v[1, :2] - v[0, :2]
     g = frame.gauge_dir
-    r = np.concatenate([np.abs(np.arcsinh(f)) - delta, v[0, :2] - frame.gauge_anchor,
-                        [e[0] * g[1] - e[1] * g[0]]])
+    r = np.empty(n + 3)
+    r[:n] = np.abs(np.arcsinh(f)) - delta
+    r[n:n + 2] = v[0, :2] - frame.gauge_anchor
+    r[n + 2] = e[0] * g[1] - e[1] * g[0]
     return r, (v, f, u, N)
 
 
@@ -289,11 +272,11 @@ def _jacobian(lifted, frame: _Frame) -> np.ndarray:
     c = (f * mink(p[1], p[2]))[:, None] / N ** 2
     # lorentz_cross(p, q) * J is the Euclidean cross product of p and q.
     # Gradients of B(v_i, u_i) in v_i, a_i and b_i.
-    g = np.concatenate([u[None], lorentz_cross(p[[2, 0]], p[[0, 1]]) / N
-                        - c * p[[2, 1]]]) * MINK_DIAG
+    g = np.concatenate([u[None], lorentz_cross(p[::-2], p[:2]) / N
+                        - c * p[:0:-1]]) * MINK_DIAG  # (b, a) x (v, a), minus c (b, a)
     scale = (np.sign(f) / np.sqrt(1.0 + f * f))[:, None]  # d|asinh f| / df
     J = frame.J0.copy()
-    J.flat[frame.pos] = scale * (g[..., :2] + g[..., 2:] * p[..., :2] / p[..., 2:])
+    J.reshape(-1)[frame.pos] = scale * (g[..., :2] + g[..., 2:] * p[..., :2] / p[..., 2:])
     return J
 
 
@@ -330,15 +313,16 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
     r, lifted = _residuals(x, delta, frame)
 
     for _ in range(max_iterations):
-        if float(np.max(np.abs(r))) <= residual_tol:
+        if float(np.abs(r).max()) <= residual_tol:
             break
         step = _min_norm_step(_jacobian(lifted, frame), r)
         base = float(np.dot(r, r))
         alpha = 1.0
         while alpha >= 2.0 ** -30:
-            rt, lt = _residuals(x + alpha * step, delta, frame)
+            xt = x + alpha * step
+            rt, lt = _residuals(xt, delta, frame)
             if float(np.dot(rt, rt)) < base:
-                x, r, lifted = x + alpha * step, rt, lt
+                x, r, lifted = xt, rt, lt
                 break
             alpha *= 0.5
         else:
@@ -348,10 +332,15 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
         if worst > residual_tol:
             raise NoConvergence(f"residual {worst:.3e} after {max_iterations} iterations")
 
+    v, _, u, _ = lifted
     try:
-        P = polygon_from_rows(lifted[0])
+        P = polygon_from_rows(v)
     except NonConvex as exc:
         raise LeftFamily(f"solution lost convexity: {exc}") from exc
+    if np.array_equal(P.vertex_matrix, v):  # not reversed: side j is opposite vertex ib[j]
+        side_normals = u[frame.ib]
+        side_normals.flags.writeable = False
+        P.__dict__["side_normals"] = side_normals  # where the cached property keeps it
     _, _, margins, spread, verdict = _criterion(P, REDUCED_TOL)
     if not verdict:
         raise LeftFamily(
@@ -370,8 +359,8 @@ def _min_norm_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     max |R_kk| * max(J.shape) * eps.
     """
     Q, R = np.linalg.qr(J.T)
-    d = np.abs(np.diagonal(R))
-    if d.min() <= d.max() * max(J.shape) * np.finfo(float).eps:
+    d = np.abs(R.diagonal())
+    if d.min() <= d.max() * max(J.shape) * _EPS:
         raise NoConvergence(
             f"Jacobian is rank deficient (|R_kk| from {d.min():.3e} to {d.max():.3e})")
     return Q @ np.linalg.solve(R.T, -r)
@@ -410,8 +399,8 @@ def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingRepo
     Each arc takes its run of (n-1)/2 whole sides as a difference of one
     cumulative sum of the side lengths.  Every distance, from the side
     lengths and both chords to the three sides of each angle's triangle,
-    comes from one stacked ``dist_pp`` call, and ``angle_from_sides`` turns
-    them into alpha and beta.
+    comes from one stacked ``dist_pp`` call, and one stacked
+    ``angle_from_sides`` call turns them into alpha and beta.
     """
     _, feet, _, _, verdict = _criterion(V, tol)
     if not verdict:
@@ -423,17 +412,18 @@ def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingRepo
     rows = np.arange(n)
     ia, ib = opposite_side(rows, n)  # ib[i] is vertex i + (n+1)/2
     nxt = (rows + 1) % n
-    lengths, chord_left, chord_right, near, to_foot, next_foot, to_far = dist_pp(
-        np.stack([m, m, feet, m[ia], m, m[nxt], m]),
-        np.stack([m[nxt], feet[ib], m[ib], feet, feet, feet, m[ib]]))
+    d = dist_pp(np.stack([m, m, feet, m[ia], m, m[nxt], m]),
+                np.stack([m[nxt], feet[ib], m[ib], feet, feet, feet, m[ib]]))
+    # Rows: lengths, chord_left, chord_right, near, to_foot, next_foot, to_far.
+    lengths, chord_left, chord_right, near = d[:4]
     # window[i] is the length of the (n-1)/2 sides that follow vertex i.
     cum = np.concatenate([[0.0], np.cumsum(np.concatenate([lengths, lengths]))])
     window = cum[half:half + n] - cum[:n]
 
     arc1 = window + near
     arc2 = chord_right + window[ib]
-    alpha = angle_from_sides(lengths, to_foot, next_foot)
-    beta = angle_from_sides(to_foot, to_far, chord_right)
+    # alpha from (lengths, to_foot, next_foot), beta from (to_foot, to_far, chord_right)
+    alpha, beta = angle_from_sides(d[[0, 4]], d[[4, 6]], d[[5, 2]])
     return HalvingReport(records=tuple(
         HalvingRecord(index=i, chord_left=cl, chord_right=cr, half_perimeter_gap=g,
                       alpha=a, beta=b)
@@ -443,10 +433,18 @@ def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingRepo
 
 
 def diameter_bound(delta: float) -> float:
-    """Upper bound on the diameter of an ordinary reduced polygon of thickness delta."""
-    if not (delta > 0.0):
-        raise GeometryError(f"thickness must be positive, got {delta}")
-    return math.acosh(math.cosh(delta) * math.sqrt(1.0 + math.sinh(delta) ** 2 / 3.0))
+    """Upper bound on the diameter of an ordinary reduced polygon of thickness delta.
+
+    Raises GeometryError unless delta is positive and finite, and when the
+    bound overflows float64 (from about delta = 355.6).
+    """
+    if not (delta > 0.0) or not math.isfinite(delta):
+        raise GeometryError(f"thickness must be positive and finite, got {delta}")
+    try:
+        return math.acosh(math.cosh(delta) * math.sqrt(1.0 + math.sinh(delta) ** 2 / 3.0))
+    except OverflowError:  # sinh(delta) ** 2
+        raise GeometryError(f"thickness {delta} is too large: the diameter bound "
+                            "overflows float64") from None
 
 
 def diameter_within_bound(V: ConvexPolygon) -> bool:

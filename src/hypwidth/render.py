@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from .hcore import (HLine, HPoint, foot, hyperboloid_to_chart, lorentz_cross,
                     unit_spacelike)
-from .polygon import ConvexPolygon, side_line
-from .reduced import check_ordinary_reduced
+from .polygon import ConvexPolygon, opposite_side, side_line
 
 VIEWBOX = "-1.05 -1.05 2.1 2.1"
 
@@ -113,21 +112,22 @@ def render_svg(V: ConvexPolygon, spec: RenderSpec = RenderSpec()) -> str:
                f'stroke="{spec.polygon_color}" stroke-width="{_num(spec.stroke_width)}"/>')
 
     if spec.show_feet or spec.show_opposite_lines:
-        report = check_ordinary_reduced(V)  # feet are drawn whatever the verdict
+        # The polygon's criterion table; feet are drawn whatever the verdict.
+        feet = [tuple(z) for z in hyperboloid_to_chart(V.opposite[2], chart).tolist()]
         if spec.show_opposite_lines:
-            for rec in report.records:
-                L = side_line(V, rec.opposite_side[0])
+            for i in range(V.n):
+                L = side_line(V, opposite_side(i, V.n)[0])
                 e1, e2 = line_ideal_endpoints(L)
                 out.append(f'  <path d="{_geodesic_path(e1, e2, chart)}" fill="none" '
                            f'stroke="{spec.opposite_line_color}" '
                            f'stroke-width="{_num(0.5 * spec.stroke_width)}"/>')
         if spec.show_feet:
-            for rec in report.records:
-                seg = _geodesic_path(V.vertex(rec.index), rec.foot, chart)
+            for i, z in enumerate(feet):
+                seg = _geodesic_path(V.vertex(i), z, chart)
                 out.append(f'  <path d="{seg}" fill="none" stroke="{spec.foot_color}" '
                            f'stroke-width="{_num(0.5 * spec.stroke_width)}"/>')
-            for rec in report.records:
-                fx, fy = _svg_pt(hyperboloid_to_chart(rec.foot, chart))
+            for z in feet:
+                fx, fy = _svg_pt(z)
                 out.append(f'  <circle cx="{_num(fx)}" cy="{_num(fy)}" '
                            f'r="{_num(spec.marker_radius)}" fill="{spec.foot_color}"/>')
     out.append("</svg>")

@@ -30,7 +30,9 @@ their ends and go round the cycle once, so their lengths add up to about
 2n, and each is padded to the longest.  The frames and the cut ranges are
 one table per polygon, ``ConvexPolygon.pencils``, shared by every query
 here; the n x n products that give a_j, b_j and f_i are formed once per
-polygon, when that table is built, and not kept.
+polygon, when that table is built, and not kept.  ``pencil_line`` and the
+ultraparallel oracle read only the O(n) frames, ``pencil_frames``, which
+that table reuses.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def pencil_line(V: ConvexPolygon, i: int, s: float) -> HLine:
     s = 0 gives the side line ending at vertex i, s = 1 the one starting
     there; interior s touch the polygon at vertex i only.
     """
-    u0, e, omega = V.pencils[:3]
+    u0, e, omega = V.pencil_frames[:3]
     i %= V.n
     w = s * omega[i]
     return HLine.from_vec(u0[i] * math.cos(w) + e[i] * math.sin(w))
@@ -192,7 +194,7 @@ def width_ultraparallel_oracle(V: ConvexPolygon, L: HLine) -> float:
     family is covered.
     """
     _oriented_support_values(V, L)
-    u0, e, _, cos_w, sin_w, _, _ = V.pencils
+    u0, e, _, cos_w, sin_w = V.pencil_frames
     c = float(np.max(_pencil_peaks(mink(u0, L), mink(e, L), cos_w, sin_w)))
     # 0 whenever no supporting line is ultraparallel to L.
     return math.acosh(c) if c > 1.0 else 0.0

@@ -1,15 +1,18 @@
 import math
+import re
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from hypwidth import reduced
+from hypwidth import polygon, reduced
 from hypwidth.corpus import perturbed_polygon, random_nonequilateral_triangle
 from hypwidth.errors import (BracketFailure, EvenGon, GeometryError,
                              LeftFamily, NoConvergence, NotOrdinaryReduced,
                              NumericalError)
 from hypwidth.hcore import HPoint, apply_isometry, dist_pp, random_isometry
-from hypwidth.polygon import make_polygon, perimeter, side_lengths
+from hypwidth.polygon import (make_polygon, perimeter, polygon_from_rows, side_lengths,
+                              side_line)
 from hypwidth.reduced import (_frame, _jacobian, _min_norm_step, _residuals,
                               check_ordinary_reduced,
                               diameter_bound, diameter_within_bound,
@@ -17,7 +20,7 @@ from hypwidth.reduced import (_frame, _jacobian, _min_norm_step, _residuals,
                               regular_apothem, regular_ngon,
                               regular_ngon_with_thickness,
                               solve_ordinary_reduced)
-from hypwidth.width import diameter, thickness
+from hypwidth.width import ThicknessReport, diameter, thickness
 from polygon_families import jittered_circle_polygon
 from test_acceptance_oracles import (oracle_check_ordinary_reduced,
                                      oracle_perimeter_halving)
@@ -66,6 +69,9 @@ class TestOppositeSide:
         with pytest.raises(EvenGon):
             opposite_side(0, 4)
 
+    def test_reexported_from_polygon(self):
+        assert opposite_side is polygon.opposite_side
+
 
 class TestCheckOrdinaryReduced:
     def test_regular_pentagon_passes(self):
@@ -93,8 +99,12 @@ class TestCheckOrdinaryReduced:
             HPoint(0.0, math.sinh(1.0), math.cosh(1.0)),
             HPoint(-math.sinh(1.0), 0.0, math.cosh(1.0)),
             HPoint(0.0, -math.sinh(1.0), math.cosh(1.0))])
-        with pytest.raises(EvenGon):
-            check_ordinary_reduced(square)
+        text = "^opposite side requires an odd n >= 3, got n = 4$"
+        for _ in range(2):  # a failed build caches nothing
+            with pytest.raises(EvenGon, match=text):
+                check_ordinary_reduced(square)
+            with pytest.raises(EvenGon, match=text):
+                perimeter_halving(square)
 
     def test_matches_per_vertex_oracle(self):
         rng = np.random.default_rng(31)
@@ -122,8 +132,53 @@ class TestCheckOrdinaryReduced:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_invalid_tolerance_rejected(self, tol):
-        with pytest.raises(GeometryError, match="tolerance must be finite"):
-            check_ordinary_reduced(regular_ngon_with_thickness(5, 1.0), tol=tol)
+        V = regular_ngon_with_thickness(5, 1.0)
+        for _ in range(2):  # before and after the polygon's table is built
+            with pytest.raises(GeometryError, match="tolerance must be finite"):
+                check_ordinary_reduced(V, tol=tol)
+            with pytest.raises(GeometryError, match="tolerance must be finite"):
+                perimeter_halving(V, tol=tol)
+            check_ordinary_reduced(V)
+
+    def test_cached_table_is_read_only(self):
+        V = regular_ngon_with_thickness(7, 1.0)
+        rep = check_ordinary_reduced(V)
+        assert all(a is b for a, b in zip(rep.kernel[1:], V.opposite[1:4]))
+        for x in rep.kernel[1:] + V.opposite[:4]:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.0
+        assert check_ordinary_reduced(V) == rep
+
+    def test_tolerance_order_does_not_change_reports(self):
+        # One polygon's table serves every tolerance: each report, in any call
+        # order, equals the one from a polygon that has seen no other call.
+        rng = np.random.default_rng(15)
+        reg = regular_ngon_with_thickness(9, 1.0)
+        polys = [reg, solve_ordinary_reduced(perturbed_polygon(reg, rng), 1.0),
+                 random_nonequilateral_triangle(rng),
+                 jittered_circle_polygon(rng, 11, 1.0, 2.0)]
+        tols = (0.0, 1e-12, 1e-9, 1e-8, 1.0)
+
+        def reports(V, order):
+            out = {tol: repr(check_ordinary_reduced(V, tol)) for tol in order}
+            try:
+                out["halving"] = repr(perimeter_halving(V))
+            except NotOrdinaryReduced as exc:
+                out["halving"] = repr(exc)
+            return out
+
+        verdicts = set()
+        for V in polys:
+            fresh = {}
+            for tol in tols:
+                fresh.update(reports(polygon_from_rows(V.vertex_matrix), [tol]))
+            fresh["halving"] = reports(polygon_from_rows(V.vertex_matrix), [])["halving"]
+            for order in (tols, tols[::-1], tuple(rng.permutation(tols).tolist())):
+                W = polygon_from_rows(V.vertex_matrix)
+                assert reports(W, order) == fresh
+            verdicts.add(check_ordinary_reduced(V).verdict)
+        assert verdicts == {True, False}
 
     def test_zero_tolerance_allowed(self):
         rep = check_ordinary_reduced(regular_ngon_with_thickness(5, 1.0), tol=0.0)
@@ -344,6 +399,47 @@ class TestSolve:
         # The polygon is built from the last accepted lift.
         assert S is None or S.vertex_matrix.tolist() == accepted[0].tolist()
 
+    def test_opposite_table_built_once(self, monkeypatch):
+        # solve -> check -> halving -> bound on one polygon: the criterion
+        # table is built once, from the side normals the solver seeded, and no
+        # side normal is formed after the last residual evaluation.
+        events = self._count_evaluations(monkeypatch)
+        for module in (reduced, polygon):
+            def counted(a, b, line_normals=module.line_normals):
+                events.append(("normals", None, None))
+                return line_normals(a, b)
+            monkeypatch.setattr(module, "line_normals", counted)
+        table = polygon.ConvexPolygon.opposite
+
+        def counted_table(V):
+            events.append(("table", None, None))
+            return table.func(V)
+        counted_property = cached_property(counted_table)
+        counted_property.__set_name__(polygon.ConvexPolygon, "opposite")
+        monkeypatch.setattr(polygon.ConvexPolygon, "opposite", counted_property)
+
+        reg = regular_ngon_with_thickness(15, 1.0)
+        S = solve_ordinary_reduced(perturbed_polygon(reg, np.random.default_rng(0)), 1.0)
+        assert check_ordinary_reduced(S).verdict
+        perimeter_halving(S)
+        assert diameter_within_bound(S)
+        kinds = [k for k, _, _ in events]
+        last = max(i for i, k in enumerate(kinds) if k == "r")
+        assert kinds.count("J") > 0
+        assert kinds.count("normals") == kinds.count("r")  # one inside each evaluation
+        assert kinds[last + 1:] == ["table"] and kinds.count("table") == 1
+
+    def test_reordered_rows_are_not_seeded(self, monkeypatch):
+        # polygon_from_rows may return the rows in another order (it reverses a
+        # negatively oriented cycle); then the solver's normals belong to other
+        # sides, and the returned polygon must form its own.
+        monkeypatch.setattr(reduced, "polygon_from_rows",
+                            lambda rows: polygon_from_rows(np.roll(rows, 1, axis=0)))
+        reg = regular_ngon_with_thickness(7, 1.0)
+        S = solve_ordinary_reduced(perturbed_polygon(reg, np.random.default_rng(0)), 1.0)
+        fresh = polygon_from_rows(S.vertex_matrix).side_normals
+        assert S.side_normals.tobytes() == fresh.tobytes()
+
     def test_seed_in_family_builds_no_jacobian(self, monkeypatch):
         events = self._count_evaluations(monkeypatch)
         solve_ordinary_reduced(regular_ngon_with_thickness(5, 1.0), 1.0)
@@ -401,10 +497,14 @@ class TestSolve:
                 solved = 0
                 for _ in range(10):
                     try:
-                        solve_ordinary_reduced(perturbed_polygon(reg, rng), delta)
+                        S = solve_ordinary_reduced(perturbed_polygon(reg, rng), delta)
                     except NumericalError:
                         continue
                     solved += 1
+                    # The solver seeds the side normals a fresh polygon would form.
+                    fresh = polygon_from_rows(S.vertex_matrix).side_normals
+                    assert S.side_normals.tobytes() == fresh.tobytes()
+                    assert not S.side_normals.flags.writeable
                 if solved < floor.get(n, {}).get(delta, 10):
                     low.append((n, delta, solved))
         assert not low
@@ -493,6 +593,33 @@ class TestDiameterBound:
         d = 1.0
         expected = math.acosh(math.cosh(1.0) * math.sqrt(1.0 + math.sinh(1.0) ** 2 / 3.0))
         assert diameter_bound(d) == expected
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0, -math.inf])
+    def test_invalid_thickness_rejected(self, delta):
+        with pytest.raises(GeometryError, match="thickness must be positive and finite"):
+            diameter_bound(delta)
+
+    @pytest.mark.parametrize("delta", [356.0, 400.0, 1e300])
+    def test_overflowing_thickness_named(self, delta):
+        with pytest.raises(GeometryError, match=re.escape(f"thickness {delta} is too large")):
+            diameter_bound(delta)
+
+    def test_overflow_edge(self):
+        # Each delta either gives a finite bound or names the thickness.
+        for delta in np.linspace(354.0, 357.0, 61).tolist():
+            try:
+                assert math.isfinite(diameter_bound(delta))
+            except GeometryError as exc:
+                assert f"thickness {delta}" in str(exc)
+
+    def test_within_bound_names_overflowing_thickness(self, monkeypatch):
+        # thickness() fails before it reaches such values (its side normals
+        # overflow first), so a stub reports one.
+        V = regular_ngon_with_thickness(5, 1.0)
+        monkeypatch.setattr(reduced, "thickness", lambda V: ThicknessReport(
+            thickness=400.0, argmin_line=side_line(V, 0), achieved_on_side=0))
+        with pytest.raises(GeometryError, match="thickness 400.0 is too large"):
+            diameter_within_bound(V)
 
 
 class TestVertexRemoval:

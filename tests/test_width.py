@@ -455,3 +455,18 @@ class TestPencilTable:
             arrays = cached_arrays(V)
             assert len(arrays) >= 7 + n
             assert max(x.size for x in arrays) < n * n
+
+    def test_lone_pencil_line_forms_no_n_by_n_array(self):
+        import tracemalloc
+
+        n = 1001
+        for V in (regular_ngon(n, 1.3),
+                  jittered_circle_polygon(np.random.default_rng(1001), n, 1.5, 1.0)):
+            tracemalloc.start()
+            try:
+                pencil_line(V, 7, 0.4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * n  # one n x n float64 array
+            assert "pencils" not in vars(V)
