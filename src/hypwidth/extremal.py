@@ -82,8 +82,11 @@ def indisk(V: ConvexPolygon) -> tuple[HPoint, float]:
     a weighted straight skeleton whose n - 2 vertices are the levels s where a
     shrinking side meets both live neighbours.  A heap pops them in level
     order, skipping entries whose neighbours changed; each is scored by its
-    clearance min_j B(w, u_j)/|w|, its side unlinked and both neighbours
-    queued again.  The best triple's w is then solved by LU, for accuracy.
+    clearance B(w, u)/|w| from the nearest of its three defining sides, its
+    side unlinked and both neighbours queued again.  No other side is nearer:
+    an event that is not stale is a vertex of the lower envelope of the f_j,
+    so the sweep takes O(n log n) time.  The best triple's w is then solved
+    by LU, for accuracy.
     """
     N = V.side_normals * MINK_DIAG
     rows, n = N.tolist(), V.n
@@ -103,7 +106,9 @@ def indisk(V: ConvexPolygon) -> tuple[HPoint, float]:
     while heap:
         _, j, left, right, q, m2 = heapq.heappop(heap)
         if (prv[j], nxt[j]) == (left, right):
-            if (score := float(np.min(N @ q)) / math.sqrt(m2)) > best[0]:
+            score = min(r[0] * q[0] + r[1] * q[1] + r[2] * q[2]
+                        for r in (rows[left], rows[j], rows[right])) / math.sqrt(m2)
+            if score > best[0]:
                 best = (score, [left, j, right])
             nxt[left], prv[right] = right, left
             queue(left, right)

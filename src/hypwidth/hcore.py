@@ -189,7 +189,7 @@ def lines_from_normals(u) -> tuple[HLine, ...]:
     that copy, so reading vec builds no array.
     """
     rows = np.array(u, dtype=float)
-    bad = np.flatnonzero(_off_unit(rows, 1.0))
+    bad = _off_unit(rows, 1.0).nonzero()[0]
     if bad.size:
         HLine(*rows[bad[0]].tolist())  # raises HLine's error for that row
     rows.flags.writeable = False
@@ -220,11 +220,11 @@ def to_sheet(v) -> np.ndarray:
     This puts every row on the upper sheet; raises if any row is not timelike.
     """
     a = np.asarray(v, dtype=float)
-    x, y, t = a[..., 0], a[..., 1], a[..., 2]
-    n = t * t - x * x - y * y
+    sq = a * a
+    n = sq[..., 2] - sq[..., 0] - sq[..., 1]
     if not (n > 0.0).all():
         raise GeometryError("vector is not timelike")
-    return a / np.copysign(np.sqrt(n), t)[..., None]
+    return a / np.copysign(np.sqrt(n), a[..., 2])[..., None]
 
 
 def unit_timelike(v) -> HPoint:

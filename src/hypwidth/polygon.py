@@ -82,9 +82,21 @@ class ConvexPolygon:
 
     @cached_property
     def side_normals(self) -> np.ndarray:
-        """Unit normals of the side lines, oriented interior-positive."""
+        """Unit normals of the side lines, oriented interior-positive.
+
+        A normal is lorentz_cross of two vertex rows, and its Lorentz norm
+        squares that product, so it overflows float64 from about distance 178
+        from the chart origin, half the coordinate domain.  Raises
+        GeometryError, naming the first such side, without a warning.
+        """
         m = self.vertex_matrix
-        w, _ = line_normals(m, np.roll(m, -1, axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, N = line_normals(m, np.concatenate((m[1:], m[:1])))
+        bad = ~(N[:, 0] < math.inf)  # inf, or NaN from inf - inf
+        if bad.any():
+            raise GeometryError(
+                f"side {int(bad.argmax())}'s normal overflows float64: side normals "
+                "need vertices within about distance 178 of the chart origin")
         w.flags.writeable = False
         return w
 
@@ -102,9 +114,9 @@ class ConvexPolygon:
         omega, with cos_w and sin_w its cosine and sine.  Each array has one
         entry or row per vertex.
         """
-        u1, n = self.side_normals, self.n
-        u0 = u1[np.arange(-1, n - 1)]  # row i is side i - 1
-        cos_w = np.clip(mink(u0, u1), -1.0, 1.0)
+        u1 = self.side_normals
+        u0 = np.concatenate((u1[-1:], u1[:-1]))  # row i is side i - 1
+        cos_w = np.minimum(np.maximum(mink(u0, u1), -1.0), 1.0)
         omega = np.arccos(cos_w)
         sin_w = np.sin(omega)
         # A straight angle leaves u1 = u0 and nothing to sweep; any finite e does.
@@ -116,17 +128,19 @@ class ConvexPolygon:
 
     @cached_property
     def pencils(self) -> tuple[np.ndarray, ...]:
-        """The vertex pencils: read-only arrays (u0, e, omega, cos_w, sin_w, a, b).
+        """The vertex pencils: read-only arrays (u0, e, omega, cos_w, sin_w, a, b, last).
 
         The first five are ``pencil_frames``.  a and b hold a_ij = B(v_j, u0_i)
         and b_ij = B(v_j, e_i) with row i cut to its cyclic column range from
         f_i = argmax_j a_ij (the lowest index among ties) to f_{i+1}; the
         ``hypwidth.width`` module docstring shows why the envelope needs no
-        other column.  Column 0 of each row is f_i, and a row shorter than the
-        longest repeats its last column f_{i+1}; a repeat ties the column it
-        copies and comes after it, so it never becomes the top of a sweep or
-        changes a maximum.  The n x n products that give a, b and f are formed
-        here once and not kept; a and b are n x w, w the longest range.
+        other column.  Column 0 of each row is f_i, and column last_i =
+        (f_{i+1} - f_i) mod n is f_{i+1}, the top of the envelope at omega,
+        where the sweep of that row ends.  A row shorter than the longest
+        repeats its last column; a repeat ties the column it copies and comes
+        after it, so it never becomes the top of a sweep or changes a maximum.
+        The n x n products that give a, b and f are formed here once and not
+        kept; a and b are n x w, w the longest range.
         """
         frames, g, n = self.pencil_frames, self.mink_rows, self.n
         u0, e = frames[:2]
@@ -135,7 +149,7 @@ class ConvexPolygon:
         last = (np.concatenate((f[1:], f[:1])) - f) % n
         cols = (f[:, None] + np.minimum(np.arange(last.max() + 1), last[:, None])) % n
         cols += np.arange(0, n * n, n)[:, None]  # positions in the flat n x n arrays
-        cut = (a.take(cols), (e @ g.T).take(cols))
+        cut = (a.take(cols), (e @ g.T).take(cols), last)
         for x in cut:
             x.flags.writeable = False
         return frames + cut
@@ -161,9 +175,11 @@ class ConvexPolygon:
         # The projection v - B(v, u) u is a positive multiple of the foot.
         feet = to_sheet(m - s[:, None] * u)
         k = self.klein
-        edge = k[ib] - k[ia]
-        lam = (np.sum((hyperboloid_to_chart(feet, "klein") - k[ia]) * edge, axis=1)
-               / np.sum(edge * edge, axis=1))
+        ka = k[ia]
+        edge = k[ib] - ka
+        along = (hyperboloid_to_chart(feet, "klein") - ka) * edge
+        sq = edge * edge
+        lam = (along[:, 0] + along[:, 1]) / (sq[:, 0] + sq[:, 1])
         margins = np.minimum(lam, 1.0 - lam)
         for x in (s, dists, feet, margins):
             x.flags.writeable = False
@@ -209,7 +225,9 @@ def make_polygon(points: Iterable[HPoint]) -> ConvexPolygon:
     An adapter that passes the points' coordinates to :func:`polygon_from_rows`,
     with its checks and its domain: finite coordinates with x^2 + y^2 + t^2
     below float64's maximum, up to about distance 355 from the chart origin.
-    The vertices equal the points (as new objects).
+    Queries that read side normals need vertices within about distance 178
+    (see :func:`polygon_from_rows`).  The vertices equal the points (as new
+    objects).
     """
     return polygon_from_rows(np.array([(v.x, v.y, v.t) for v in points]).reshape(-1, 3))
 
@@ -221,28 +239,32 @@ def polygon_from_rows(rows) -> ConvexPolygon:
     must pass HPoint's validation; the first one that does not raises HPoint's
     GeometryError.  The domain is finite coordinates with x^2 + y^2 + t^2
     below float64's maximum, that is, up to about distance 355 from the chart
-    origin; a row beyond it raises GeometryError.  Negatively oriented but
-    convex input is reversed; non-convex input (a right turn, collinear
-    consecutive vertices, or a cycle winding more than once around) raises
-    NonConvex.  The orientation is the common sign of the Klein-chart turn
-    crosses.  Once every turn is strictly left, the winding number is the
-    number of times the edge direction passes from the lower half-plane to
-    the upper one, which sign tests count exactly.
+    origin; a row beyond it raises GeometryError.  The side normals overflow
+    float64 from about distance 178, so beyond that edge every query that
+    reads them (``thickness``, the reducedness criterion, ``indisk``,
+    ``contains`` and the side lines) raises GeometryError from
+    ``ConvexPolygon.side_normals``, while ``diameter`` still answers.
+    Negatively oriented but convex input is reversed; non-convex input (a
+    right turn, collinear consecutive vertices, or a cycle winding more than
+    once around) raises NonConvex.  The orientation is the common sign of the
+    Klein-chart turn crosses.  Once every turn is strictly left, the winding
+    number is the number of times the edge direction passes from the lower
+    half-plane to the upper one, which sign tests count exactly.
     """
     m = np.array(rows, dtype=float)
     if m.ndim != 2 or m.shape[1] != 3:
         raise GeometryError(f"expected (n, 3) vertex rows, got shape {m.shape}")
-    bad = np.flatnonzero(off_sheet(m))
+    bad = off_sheet(m).nonzero()[0]
     if bad.size:
         HPoint(*m[bad[0]].tolist())  # raises HPoint's error for that row
     if m.shape[0] < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {m.shape[0]}")
     k = hyperboloid_to_chart(m, "klein")
     e, crosses, nxt = _turns(k)
-    if np.all(crosses < 0.0):
+    if (crosses < 0.0).all():
         m, k = m[::-1].copy(), k[::-1].copy()
         e, crosses, nxt = _turns(k)
-    if np.any(crosses <= CONVEXITY_TOL):
+    if (crosses <= CONVEXITY_TOL).any():
         j = int(np.argmin(crosses))
         raise NonConvex(
             f"vertex triple starting at index {(j + 1) % m.shape[0]} does not "
@@ -265,7 +287,8 @@ def perimeter(V: ConvexPolygon) -> float:
 def area(V: ConvexPolygon) -> float:
     """Polygon area by angle defect: (n - 2)*pi minus the interior angles."""
     m = V.vertex_matrix
-    total = sum(angle_at(np.roll(m, 1, axis=0), m, np.roll(m, -1, axis=0)).tolist())
+    total = sum(angle_at(np.concatenate((m[-1:], m[:-1])), m,
+                         np.concatenate((m[1:], m[:1]))).tolist())
     return (V.n - 2) * math.pi - total
 
 
@@ -285,4 +308,4 @@ def contains(V: ConvexPolygon, p: HPoint) -> bool:
 
 def side_lengths(V: ConvexPolygon) -> list[float]:
     m = V.vertex_matrix
-    return dist_pp(m, np.roll(m, -1, axis=0)).tolist()
+    return dist_pp(m, np.concatenate((m[1:], m[:1]))).tolist()

@@ -115,7 +115,7 @@ def _criterion(V: ConvexPolygon, tol: float):
     if not (math.isfinite(tol) and tol >= 0.0):
         raise GeometryError(f"tolerance must be finite and >= 0, got {tol}")
     _, dists, feet, margins, spread = V.opposite
-    return dists, feet, margins, spread, bool(np.all(margins >= tol)) and spread <= tol
+    return dists, feet, margins, spread, bool((margins >= tol).all()) and spread <= tol
 
 
 def check_ordinary_reduced(V: ConvexPolygon, tol: float = REDUCED_TOL) -> ReducednessReport:
@@ -384,9 +384,34 @@ class HalvingRecord:
     beta: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HalvingReport:
-    records: tuple[HalvingRecord, ...]
+    """Boundary halving of an ordinary reduced odd-gon, one HalvingRecord per vertex.
+
+    records is built the first time it is read, from the kernel's read-only
+    arrays: chord_left, chord_right, half_perimeter_gap, alpha and beta, one
+    entry per vertex.  Equality, hashing and repr are those of (records,).
+    """
+
+    kernel: tuple
+
+    @cached_property
+    def records(self) -> tuple[HalvingRecord, ...]:
+        return tuple(
+            HalvingRecord(index=i, chord_left=cl, chord_right=cr, half_perimeter_gap=g,
+                          alpha=a, beta=b)
+            for i, (cl, cr, g, a, b) in enumerate(zip(*(x.tolist() for x in self.kernel))))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.records == other.records
+
+    def __hash__(self) -> int:
+        return hash((self.records,))
+
+    def __repr__(self) -> str:
+        return f"HalvingReport(records={self.records!r})"
 
 
 def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingReport:
@@ -424,12 +449,10 @@ def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingRepo
     arc2 = chord_right + window[ib]
     # alpha from (lengths, to_foot, next_foot), beta from (to_foot, to_far, chord_right)
     alpha, beta = angle_from_sides(d[[0, 4]], d[[4, 6]], d[[5, 2]])
-    return HalvingReport(records=tuple(
-        HalvingRecord(index=i, chord_left=cl, chord_right=cr, half_perimeter_gap=g,
-                      alpha=a, beta=b)
-        for i, (cl, cr, g, a, b) in enumerate(zip(
-            chord_left.tolist(), chord_right.tolist(), (arc1 - arc2).tolist(),
-            alpha.tolist(), beta.tolist()))))
+    kernel = (chord_left, chord_right, arc1 - arc2, alpha, beta)
+    for x in kernel:
+        x.flags.writeable = False
+    return HalvingReport(kernel=kernel)
 
 
 def diameter_bound(delta: float) -> float:

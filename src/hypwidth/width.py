@@ -25,7 +25,10 @@ of the envelope walks the convex hull of the P_j monotonically: from f_i =
 argmax_j a_j, the vertex farthest from side i - 1, at theta = 0, to f_{i+1}
 at omega.  No vertex outside the cyclic range from f_i to f_{i+1} reaches
 the envelope inside the pencil, and the sweep and the peaks read only that
-range (rotating calipers, after Toussaint 1983).  The ranges overlap only at
+range (rotating calipers, after Toussaint 1983).  Nor does the sweep go on
+once its top is f_{i+1}: from there to omega the envelope is one concave
+piece, whose minimum is at one of its ends, so each pencil takes one sweep
+step per breakpoint and none after its last.  The ranges overlap only at
 their ends and go round the cycle once, so their lengths add up to about
 2n, and each is padded to the longest.  The frames and the cut ranges are
 one table per polygon, ``ConvexPolygon.pencils``, shared by every query
@@ -101,51 +104,61 @@ def _pencil_peaks(p: np.ndarray, q: np.ndarray, cos_w, sin_w) -> np.ndarray:
     return np.where(inside, np.hypot(p, q), np.abs(p))
 
 
-def _envelope_minima(a: np.ndarray, b: np.ndarray, omega: np.ndarray):
+def _envelope_minima(a: np.ndarray, b: np.ndarray, omega: np.ndarray, last: np.ndarray):
     """Minimum of each row's envelope at theta = 0 and its breakpoints in (0, omega).
 
-    The envelope of row i is max_j (a_ij cos(theta) + b_ij sin(theta)), and
-    column 0 of each row is its top at theta = 0 (``ConvexPolygon.pencils``).
-    All rows sweep their envelopes together, left to right, one breakpoint
-    per step.  Another sinusoid overtakes the active one at the relative angle
-    atan2(-x, y), where x <= 0 is its value gap and y its slope gap; the
-    smallest such angle is the next breakpoint.  A sinusoid tied with the
-    active one and steeper takes over at once, and at a fixed angle every
-    move raises the active slope, so the sweep cannot cycle.  A row leaves
-    the sweep when its next breakpoint is not below omega.  Returns the
-    minima and the angles attaining them.
+    The envelope of row i is max_j (a_ij cos(theta) + b_ij sin(theta)).
+    Column 0 of each row is its top at theta = 0, f_i, and column last_i its
+    top at omega, f_{i+1} (``ConvexPolygon.pencils``).  All rows sweep their
+    envelopes together, left to right, one step per breakpoint.  Another
+    sinusoid overtakes the active one at the relative angle atan2(-x, y),
+    where x <= 0 is its value gap and y its slope gap; the smallest such
+    angle is the next breakpoint.  A sinusoid tied with the active one and
+    steeper takes over at once, and at a fixed angle every move raises the
+    active slope, so the sweep cannot cycle.  The first step reads the values
+    and slopes at theta = 0 from a and b themselves.  A row leaves the sweep
+    as soon as its top is column last_i: from there to omega its envelope is
+    one concave piece, whose minimum is at one end, the breakpoint just
+    recorded or omega, which is theta = 0 of the next row.  A row also leaves
+    when its next breakpoint is not below omega, as one whose top at theta = 0
+    is already f_{i+1} does at the first step.  Returns the minima and the
+    angles attaining them.
     """
-    out_low, out_at = np.empty(a.shape[0]), np.empty(a.shape[0])
-    live = rows = np.arange(a.shape[0])  # the original index of each row still sweeping
-    low = np.full(a.shape[0], np.inf)
+    low = a[:, 0].copy()
     low_at = np.zeros(a.shape[0])
+    live = np.arange(a.shape[0])  # the original index of each row still sweeping
     theta = np.zeros(a.shape[0])
-    top = np.zeros(a.shape[0], dtype=np.intp)
+    x = np.minimum(a - a[:, :1], 0.0)
+    y = b - b[:, :1]
     while True:
-        c = np.cos(theta)[:, None]
-        s = np.sin(theta)[:, None]
-        f = a * c + b * s
-        g = b * c - a * s
-        value = f.max(axis=1)
-        lower = value < low
-        low[lower] = value[lower]
-        low_at[lower] = theta[lower]
-        x = np.minimum(f - f[rows, top][:, None], 0.0)
-        y = g - g[rows, top][:, None]
         step = np.arctan2(-x, y)
         # Tied but not steeper (the active one itself included): never overtakes.
         step[(x == 0.0) & (y <= 0.0)] = np.inf
-        k = np.argmin(step, axis=1)
-        theta = theta + step[rows, k]
-        top = k
+        k = step.argmin(axis=1)
+        theta = theta + step.min(axis=1)
         go = theta < omega
         if not go.all():
-            out_low[live[~go]], out_at[live[~go]] = low[~go], low_at[~go]
             if not go.any():
-                return out_low, out_at
-            live, a, b, omega, low, low_at, theta, top = (
-                v[go] for v in (live, a, b, omega, low, low_at, theta, top))
-            rows = rows[:live.size]
+                return low, low_at
+            live, a, b, omega, last, theta, k = (
+                v[go] for v in (live, a, b, omega, last, theta, k))
+        c = np.cos(theta)[:, None]
+        s = np.sin(theta)[:, None]
+        f = a * c + b * s
+        value = f.max(axis=1)
+        lower = value < low[live]
+        low[live[lower]] = value[lower]
+        low_at[live[lower]] = theta[lower]
+        go = k != last
+        if not go.all():
+            if not go.any():
+                return low, low_at
+            live, a, b, omega, last, theta, k, f, c, s = (
+                v[go] for v in (live, a, b, omega, last, theta, k, f, c, s))
+        rows = np.arange(live.size)
+        g = b * c - a * s
+        x = np.minimum(f - f[rows, k][:, None], 0.0)
+        y = g - g[rows, k][:, None]
 
 
 def _oriented_support_values(V: ConvexPolygon, L: HLine) -> tuple[np.ndarray, int]:
@@ -195,19 +208,19 @@ def width_ultraparallel_oracle(V: ConvexPolygon, L: HLine) -> float:
     """
     _oriented_support_values(V, L)
     u0, e, _, cos_w, sin_w = V.pencil_frames
-    c = float(np.max(_pencil_peaks(mink(u0, L), mink(e, L), cos_w, sin_w)))
+    c = float(_pencil_peaks(mink(u0, L), mink(e, L), cos_w, sin_w).max())
     # 0 whenever no supporting line is ultraparallel to L.
     return math.acosh(c) if c > 1.0 else 0.0
 
 
 def thickness(V: ConvexPolygon) -> ThicknessReport:
     """Minimum width over all supporting lines of V."""
-    u0, e, omega, _, _, a, b = V.pencils
-    low, low_at = _envelope_minima(a, b, omega)
-    i = int(np.argmin(low))
+    u0, e, omega, _, _, a, b, last = V.pencils
+    low, low_at = _envelope_minima(a, b, omega, last)
+    i = int(low.argmin())
     best_val = math.asinh(max(float(low[i]), 0.0))
     # Pencil p starts on side p - 1, whose width is the top of row p at theta = 0.
-    hits = np.flatnonzero(np.arcsinh(np.maximum(a[:, 0], 0.0)) <= best_val + SIDE_ATTAIN_TOL)
+    hits = (np.arcsinh(np.maximum(a[:, 0], 0.0)) <= best_val + SIDE_ATTAIN_TOL).nonzero()[0]
     if hits.size:
         achieved: int | None = int(((hits - 1) % V.n).min())
         best_line = HLine.from_vec(V.side_normals[achieved])
@@ -234,6 +247,6 @@ def diameter_via_width(V: ConvexPolygon) -> float:
     line is perpendicular to the segment v_i v_j, if that line lies in the
     pencil; otherwise at a side line.
     """
-    _, _, _, cos_w, sin_w, a, b = V.pencils
-    peak = float(np.max(_pencil_peaks(a, b, cos_w[:, None], sin_w[:, None])))
+    _, _, _, cos_w, sin_w, a, b, _ = V.pencils
+    peak = float(_pencil_peaks(a, b, cos_w[:, None], sin_w[:, None]).max())
     return math.asinh(max(peak, 0.0))

@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 
+from hypwidth.corpus import random_convex_polygon
+from hypwidth.extremal import rhombus
 from hypwidth.hcore import HPoint, chart_to_hyperboloid, rotation, to_sheet, translation_x
 from hypwidth.polygon import ConvexPolygon, make_polygon
+from hypwidth.reduced import regular_ngon_with_thickness
 
 
 def _klein_hull(k: np.ndarray) -> list:
@@ -62,3 +65,35 @@ def jittered_circle_polygon(rng: np.random.Generator, n: int, R: float,
                            np.full(n, math.cosh(R))])
     pts = to_sheet(pts @ (rotation(rng.uniform(0.0, 2.0 * math.pi)) @ translation_x(shift)).T)
     return make_polygon(HPoint.from_vec(p) for p in pts)
+
+
+def moved(V, rng, max_shift):
+    """V under a seeded rotation after a translation by up to max_shift."""
+    M = rotation(rng.uniform(0.0, 2.0 * math.pi)) @ translation_x(rng.uniform(0.0, max_shift))
+    return make_polygon(HPoint.from_vec(p) for p in to_sheet(V.vertex_matrix @ M.T))
+
+
+def thin_ellipse(n):
+    """n points of a Klein-chart ellipse 50 times longer than wide.
+
+    The pencils at its two ends each range over about 0.4 n vertices.
+    """
+    t = 2.0 * math.pi * np.arange(n) / n
+    return make_polygon(chart_to_hyperboloid(0.9 * math.cos(a), 0.018 * math.sin(a), "klein")
+                        for a in t.tolist())
+
+
+def hard_families():
+    """Squashed hulls, moved jittered circles and random polygons, rhombi, thin
+    ellipses and regular odd-gons."""
+    rng = np.random.default_rng(1212)
+    polys = [squashed_hull(rng) for _ in range(40)]
+    polys += [jittered_circle_polygon(rng, int(rng.integers(3, 200)), rng.uniform(0.2, 2.5),
+                                      rng.uniform(0.0, 5.0)) for _ in range(30)]
+    polys += [moved(random_convex_polygon(rng, int(rng.integers(3, 12))), rng, 5.0)
+              for _ in range(60)]
+    polys += [rhombus(a, b) for a in (0.3, 1.0, 2.5) for b in (0.3, 1.0, 2.5)]
+    polys += [thin_ellipse(n) for n in (41, 301)]
+    polys += [regular_ngon_with_thickness(n, d) for n in (3, 5, 31, 101, 1001)
+              for d in (0.01, 1.0, 6.0)]
+    return polys

@@ -10,9 +10,12 @@ vertex at a time, and the vertex pencils by arc interpolation between the
 two side normals.  The full-width sweep is the library's envelope sweep
 before each pencil was restricted to its own column range: it runs every
 pencil over all n sinusoids, so the restricted sweep must reproduce it bit
-for bit.
+for bit.  The all-sides collapse sweep is the library's inscribed-disk sweep
+before each event was scored from its three defining sides: it scores every
+event against all n sides.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -142,6 +145,43 @@ def oracle_indisk(V: ConvexPolygon) -> float:
                 if abs(signed_dist(c, lines[i]) - r) < 1e-9:
                     best = max(best, r)
     return best
+
+
+def all_sides_indisk(V: ConvexPolygon) -> tuple[float, float]:
+    """Inradius from ``extremal.indisk``'s collapse sweep, scoring each event
+    against all n sides, and the largest relative gap between an event's
+    all-sides score and its score from its three defining sides.
+
+    The events, their order and the final LU solve are the library's; only
+    the score differs: min_j B(w, u_j)/|w| over every side normal u_j.
+    """
+    N = V.side_normals * _J
+    rows, n = N.tolist(), V.n
+    prv, nxt = [(j - 1) % n for j in range(n)], [(j + 1) % n for j in range(n)]
+    heap, best, gap = [], (0.0, None), 0.0
+
+    def queue(*sides):
+        for j in sides:
+            a, b, c = rows[prv[j]], rows[j], rows[nxt[j]]
+            (x1, y1, t1), (x2, y2, t2) = ([u - v for u, v in zip(r, a)] for r in (b, c))
+            q = (y1 * t2 - t1 * y2, t1 * x2 - x1 * t2, x1 * y2 - y1 * x2)
+            if q[2] > 0.0 and (m2 := q[2] * q[2] - q[0] * q[0] - q[1] * q[1]) > 0.0:
+                s = (a[0] * q[0] + a[1] * q[1] + a[2] * q[2]) / q[2]
+                heapq.heappush(heap, (s, j, prv[j], nxt[j], q, m2))
+    queue(*range(n))
+    while heap:
+        _, j, left, right, q, m2 = heapq.heappop(heap)
+        if (prv[j], nxt[j]) == (left, right):
+            values = N @ q
+            score = float(values.min()) / math.sqrt(m2)
+            three = float(values[[left, j, right]].min()) / math.sqrt(m2)
+            gap = max(gap, abs(three - score) / abs(score))
+            if score > best[0]:
+                best = (score, [left, j, right])
+            nxt[left], prv[right] = right, left
+            queue(left, right)
+    c = unit_timelike(np.linalg.solve(N[best[1]], np.ones(3)))
+    return math.asinh(float(np.min(N @ c.vec))), gap
 
 
 def oracle_diameter(V: ConvexPolygon) -> tuple[float, tuple[int, int]]:
@@ -286,6 +326,12 @@ def full_width_diameter_via_width(V: ConvexPolygon) -> float:
     inside = b * (b * cos_w - a * sin_w) <= 0.0
     peak = float(np.max(np.where(inside, np.hypot(a, b), np.abs(a))))
     return math.asinh(max(peak, 0.0))
+
+
+def full_width_tops(V: ConvexPolygon) -> np.ndarray:
+    """f_i, the vertex farthest from side i - 1 (the lowest index among ties),
+    from the n x n sinusoid coefficients."""
+    return _full_width_pencils(V)[5].argmax(axis=1)
 
 
 def envelope_tops(V: ConvexPolygon) -> tuple[list[list[tuple[int, float]]], np.ndarray]:

@@ -199,6 +199,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["thickness", "check-reduced"])
+    def test_overflowing_side_normal_is_2_without_warning(self, capsys, caplog, tmp_path,
+                                                           command):
+        far = tmp_path / "far.json"
+        far.write_text(emit_polygon(regular_ngon(5, 300.0), model="hyperboloid"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, command, "--input", str(far))
+        assert code == 2
+        assert out == ""
+        assert "side 0's normal overflows float64" in caplog.text
+
     @pytest.mark.parametrize("line", ["1e200,0,1e200", "1e200,0,0", "nan,0,1"])
     def test_unspacelike_line_is_2(self, capsys, caplog, pentagon_file, line):
         # B(u,u) of the first line is inf - inf = NaN; all three name that fault.

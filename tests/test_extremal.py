@@ -13,8 +13,8 @@ from hypwidth.polygon import make_polygon, side_line
 from hypwidth.reduced import (check_ordinary_reduced, regular_apothem, regular_ngon,
                               regular_ngon_with_thickness, solve_ordinary_reduced)
 from hypwidth.width import diameter, thickness
-from polygon_families import jittered_circle_polygon
-from test_acceptance_oracles import oracle_circumdisk, oracle_indisk
+from polygon_families import hard_families, jittered_circle_polygon
+from test_acceptance_oracles import all_sides_indisk, oracle_circumdisk, oracle_indisk
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,19 @@ def ultraparallel_quadrilateral(h, x1, x2):
         return HPoint(math.sinh(x), math.sinh(y) * math.cosh(x),
                       math.cosh(y) * math.cosh(x))
     return make_polygon([point(x2, -h), point(x2, h), point(-x1, h), point(-x1, -h)])
+
+
+def moved_ultraparallel_quadrilaterals():
+    """200 seeded ultraparallel quadrilaterals, each moved by up to 1."""
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(200):
+        h = rng.uniform(0.05, 0.4)
+        x1, x2 = rng.uniform(1.0, 3.0, size=2)
+        M = random_isometry(rng, 1.0)
+        out.append(make_polygon([apply_isometry(M, v)
+                                 for v in ultraparallel_quadrilateral(h, x1, x2).vertices]))
+    return out
 
 
 class TestCircumdisk:
@@ -123,15 +136,19 @@ class TestIndisk:
     def test_ultraparallel_quadrilaterals(self):
         # Two ultraparallel sides drift apart away from their common
         # perpendicular, so the clearance has a local maximum near each end.
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            h = rng.uniform(0.05, 0.4)
-            x1, x2 = rng.uniform(1.0, 3.0, size=2)
-            M = random_isometry(rng, 1.0)
-            V = make_polygon([apply_isometry(M, v)
-                              for v in ultraparallel_quadrilateral(h, x1, x2).vertices])
+        for V in moved_ultraparallel_quadrilaterals():
             _, r = indisk(V)
-            assert r == pytest.approx(oracle_indisk(V), abs=1e-9), (h, x1, x2)
+            assert r == pytest.approx(oracle_indisk(V), abs=1e-9)
+
+    def test_three_side_scores_match_all_sides(self):
+        # An event that is not stale is a vertex of the lower envelope of the
+        # Klein-affine side functions, so no other side is nearer: scored
+        # against all n sides, each event gets its three-side score up to
+        # rounding, and the sweep picks the same radius.
+        for V in hard_families() + moved_ultraparallel_quadrilaterals():
+            r_all, gap = all_sides_indisk(V)
+            assert gap <= 1e-12
+            assert abs(indisk(V)[1] - r_all) <= 1e-15
 
     @pytest.mark.parametrize("n", [3, 5, 31, 101, 1001])
     def test_regular_simultaneous_events(self, n):

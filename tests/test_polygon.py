@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,10 +7,16 @@ import pytest
 
 from hypwidth.corpus import nested_pair, random_convex_polygon
 from hypwidth.errors import GeometryError, NonConvex, TooFewVertices
+from hypwidth.extremal import indisk
 from hypwidth.hcore import HPoint, chart_to_hyperboloid, dist_pp, signed_dist
 from hypwidth.polygon import (area, contains, make_polygon, perimeter,
                               polygon_from_rows, side_line)
-from hypwidth.reduced import regular_ngon
+from hypwidth.reduced import check_ordinary_reduced, regular_ngon
+from hypwidth.width import diameter, thickness
+
+
+def contains_origin(V):
+    return contains(V, HPoint(0.0, 0.0, 1.0))
 
 
 def klein_polygon(coords):
@@ -100,6 +107,32 @@ class TestCoordinateDomain:
         pts[0] = SimpleNamespace(x=row[0], y=row[1], t=row[2])
         with pytest.raises(GeometryError, match="unit hyperboloid"):
             make_polygon(pts)
+
+
+class TestSideNormalOverflow:
+    # A side normal is lorentz_cross of two vertex rows, of size about
+    # (e^R / 2)^2, and its Lorentz norm squares that again: float64 overflows
+    # near R = 178, half the coordinate domain.
+    QUERIES = [lambda V: V.side_normals, thickness, check_ordinary_reduced, indisk,
+               contains_origin]
+
+    def test_edge_still_works(self):
+        V = regular_ngon(5, 178.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for query in self.QUERIES:
+                query(V)
+            assert check_ordinary_reduced(V).verdict
+
+    @pytest.mark.parametrize("R", [179.0, 250.0, 354.0])
+    def test_overflow_named_without_warning(self, R):
+        V = regular_ngon(5, R)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for query in self.QUERIES:
+                with pytest.raises(GeometryError, match="side 0's normal overflows float64"):
+                    query(V)
+            assert diameter(V)[0] > 2 * R - 1.0  # no side normal needed
 
 
 class TestEquality:

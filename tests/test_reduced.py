@@ -14,7 +14,7 @@ from hypwidth.hcore import HPoint, apply_isometry, dist_pp, random_isometry
 from hypwidth.polygon import (make_polygon, perimeter, polygon_from_rows, side_lengths,
                               side_line)
 from hypwidth.reduced import (_frame, _jacobian, _min_norm_step, _residuals,
-                              check_ordinary_reduced,
+                              HalvingRecord, check_ordinary_reduced,
                               diameter_bound, diameter_within_bound,
                               opposite_side, perimeter_halving,
                               regular_apothem, regular_ngon,
@@ -48,6 +48,18 @@ TRIANGLE_RECORDS = (
     "VertexProjection(index=2, opposite_side=(0, 1), foot=HPoint(x=0.272197622652422, "
     "y=0.2788245313253122, t=1.073235605562176), distance=1.0563799036359636, "
     "foot_interior=True, interior_margin=0.407719274684202))")
+
+# repr(perimeter_halving(regular_ngon(3, 0.5))), as the report was printed
+# when its records were built eagerly.
+REGULAR_TRIANGLE_HALVING = (
+    "HalvingReport(records=(HalvingRecord(index=0, chord_left=0.43721826415672366, "
+    "chord_right=0.4372182641567236, half_perimeter_gap=-4.440892098500626e-16, "
+    "alpha=0.47320551611480605, beta=0.47320551611480655), HalvingRecord(index=1, "
+    "chord_left=0.4372182641567233, chord_right=0.4372182641567236, "
+    "half_perimeter_gap=-2.220446049250313e-16, alpha=0.47320551611480605, "
+    "beta=0.47320551611480605), HalvingRecord(index=2, chord_left=0.43721826415672355, "
+    "chord_right=0.43721826415672327, half_perimeter_gap=8.881784197001252e-16, "
+    "alpha=0.47320551611480627, beta=0.4732055161148058)))")
 
 
 def circumradius(V):
@@ -550,6 +562,19 @@ class TestPerimeterHalving:
             assert r.chord_left == pytest.approx(r.chord_right, abs=1e-8)
             assert abs(r.half_perimeter_gap) <= 1e-8 * max(1.0, half)
             assert r.beta < r.alpha
+
+    def test_report_repr_eq_and_hash(self):
+        V = regular_ngon(3, 0.5)
+        rep = perimeter_halving(V)
+        assert "records" not in vars(rep)  # built on first read
+        assert repr(rep) == REGULAR_TRIANGLE_HALVING
+        assert type(rep.records) is tuple
+        assert all(type(r) is HalvingRecord for r in rep.records)
+        again = perimeter_halving(polygon_from_rows(V.vertex_matrix))
+        assert rep == again and hash(rep) == hash(again) == hash((rep.records,))
+        assert rep != perimeter_halving(regular_ngon(5, 0.5))
+        assert rep != rep.records
+        assert not any(x.flags.writeable for x in rep.kernel)
 
     def test_nan_tolerance_is_invalid_not_unreduced(self):
         with pytest.raises(GeometryError, match="tolerance must be finite") as info:

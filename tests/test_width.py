@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from hypwidth import width
 from hypwidth.corpus import nested_pair, random_convex_polygon
 from hypwidth.errors import NotSupporting
 from hypwidth.extremal import rhombus
-from hypwidth.hcore import (HLine, HPoint, apply_isometry, chart_to_hyperboloid,
-                            random_isometry, rotation, signed_dist, to_sheet, translation_x)
+from hypwidth.hcore import HLine, HPoint, apply_isometry, random_isometry, signed_dist
 from hypwidth.polygon import make_polygon, polygon_from_rows, side_line
-from hypwidth.reduced import regular_apothem, regular_ngon, regular_ngon_with_thickness
+from hypwidth.reduced import regular_apothem, regular_ngon
 from hypwidth.width import (SUPPORT_TOL, diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
-from polygon_families import jittered_circle_polygon, squashed_hull
+from polygon_families import hard_families, jittered_circle_polygon, squashed_hull
 from test_acceptance_oracles import (brute_thickness, dense_thickness, envelope_tops,
                                      full_width_diameter_via_width, full_width_thickness,
-                                     oracle_diameter, slerp_pencil_line)
+                                     full_width_tops, oracle_diameter, slerp_pencil_line)
 
 
 def altitude(R, n):
@@ -309,38 +309,6 @@ class TestDiameter:
             assert diameter(U)[0] <= diameter(W)[0] + 1e-10
 
 
-def moved(V, rng, max_shift):
-    """V under a seeded rotation after a translation by up to max_shift."""
-    M = rotation(rng.uniform(0.0, 2.0 * math.pi)) @ translation_x(rng.uniform(0.0, max_shift))
-    return make_polygon(HPoint.from_vec(p) for p in to_sheet(V.vertex_matrix @ M.T))
-
-
-def thin_ellipse(n):
-    """n points of a Klein-chart ellipse 50 times longer than wide.
-
-    The pencils at its two ends each range over about 0.4 n vertices.
-    """
-    t = 2.0 * math.pi * np.arange(n) / n
-    return make_polygon(chart_to_hyperboloid(0.9 * math.cos(a), 0.018 * math.sin(a), "klein")
-                        for a in t.tolist())
-
-
-def hard_families():
-    """Squashed hulls, moved jittered circles and random polygons, rhombi, thin
-    ellipses and regular odd-gons."""
-    rng = np.random.default_rng(1212)
-    polys = [squashed_hull(rng) for _ in range(40)]
-    polys += [jittered_circle_polygon(rng, int(rng.integers(3, 200)), rng.uniform(0.2, 2.5),
-                                      rng.uniform(0.0, 5.0)) for _ in range(30)]
-    polys += [moved(random_convex_polygon(rng, int(rng.integers(3, 12))), rng, 5.0)
-              for _ in range(60)]
-    polys += [rhombus(a, b) for a in (0.3, 1.0, 2.5) for b in (0.3, 1.0, 2.5)]
-    polys += [thin_ellipse(n) for n in (41, 301)]
-    polys += [regular_ngon_with_thickness(n, d) for n in (3, 5, 31, 101, 1001)
-              for d in (0.01, 1.0, 6.0)]
-    return polys
-
-
 @pytest.fixture(scope="module")
 def families():
     return hard_families()
@@ -396,6 +364,75 @@ class TestPencilRanges:
             finally:
                 tracemalloc.stop()
             assert peak <= 3 * 8 * n * n
+
+
+class SweepProbe:
+    """numpy as the width module sees it, keeping each step array of the sweep.
+
+    Each step of ``width._envelope_minima`` computes its candidate angles in
+    one arctan2 call.  The sweep masks ties in that array in place before it
+    picks the new tops and never touches it again, so after the sweep
+    step.argmin(axis=1) gives the tops of each step.
+    """
+
+    def __init__(self):
+        self.steps = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def arctan2(self, *args):
+        out = np.arctan2(*args)
+        self.steps.append(out)
+        return out
+
+
+class TestEnvelopeSweep:
+    def test_last_column_is_next_first_vertex(self, families):
+        for V in families[::3]:
+            u0, *_, a, _, last = V.pencils
+            f = full_width_tops(V)
+            f_next, rows = np.roll(f, -1), np.arange(V.n)
+            assert np.array_equal(last, (f_next - f) % V.n)
+            assert not last.flags.writeable
+            # Column last_i of row i is vertex f_{i+1}, the one farthest from side i.
+            assert np.array_equal(a[rows, last], (u0 @ V.mink_rows.T)[rows, f_next])
+
+    def test_one_step_per_breakpoint_and_tops_within_range(self, families, monkeypatch):
+        # Each row swept alone: the sweep takes one step per breakpoint of the
+        # full-width sweep inside the row's range, and one more, which finds
+        # no breakpoint below omega, only when the last of them does not reach
+        # column last_i (a tie at omega, as in the symmetric rhombi) or there
+        # is none.  No top passes column last_i, and every top before the
+        # final one is below it.  The rows' results equal the joint sweep's.
+        probe = SweepProbe()
+        monkeypatch.setattr(width, "np", probe)
+        for V in families[::2]:
+            _, _, omega, _, _, a, b, last = V.pencils
+            low, low_at = width._envelope_minima(a, b, omega, last)
+            tops, _ = envelope_tops(V)
+            first = [t[0][0] for t in tops]
+            for i in range(V.n):
+                probe.steps.clear()
+                row = width._envelope_minima(a[i:i + 1], b[i:i + 1], omega[i:i + 1],
+                                             last[i:i + 1])
+                assert (row[0][0], row[1][0]) == (low[i], low_at[i])
+                cols = [int(s.argmin(axis=1)[0]) for s in probe.steps]
+                seen = [c for c in ((j - first[i]) % V.n for j, _ in tops[i]) if c <= last[i]]
+                assert len(cols) == max(1, len(seen) - 1 + (seen[-1] != last[i]))
+                assert max(cols) <= last[i]
+                assert all(c < last[i] for c in cols[:-1])
+
+    def test_regular_odd_gons_take_one_step(self, families, monkeypatch):
+        probe = SweepProbe()
+        monkeypatch.setattr(width, "np", probe)
+        regular = families[-15:]
+        assert [V.n for V in regular[::3]] == [3, 5, 31, 101, 1001]
+        for V in regular:
+            probe.steps.clear()
+            _, _, omega, _, _, a, b, last = V.pencils
+            width._envelope_minima(a, b, omega, last)
+            assert len(probe.steps) == 1
 
 
 def pencil_queries(V):
