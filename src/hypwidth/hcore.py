@@ -218,8 +218,13 @@ def to_sheet(v) -> np.ndarray:
     """Divide timelike (..., 3) rows by sign(t) sqrt(t^2 - x^2 - y^2), in that order.
 
     This puts every row on the upper sheet; raises if any row is not timelike.
+    Each row is first divided by the power of two that brings its largest
+    |component| into [0.5, 1).  That is exact, so it changes no bit of the
+    result, but the largest square can then neither overflow nor underflow
+    to zero.
     """
     a = np.asarray(v, dtype=float)
+    a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1])
     sq = a * a
     n = sq[..., 2] - sq[..., 0] - sq[..., 1]
     if not (n > 0.0).all():

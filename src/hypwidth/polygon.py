@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import EvenGon, GeometryError, NonConvex, TooFewVertices
-from .hcore import (MINK_DIAG, HLine, HPoint, angle_at, dist_pp, hyperboloid_to_chart,
+from .hcore import (MINK_DIAG, HLine, HPoint, angle_from_sides, dist_pp, hyperboloid_to_chart,
                     lines_from_normals, lorentz_cross, mink, off_sheet, to_sheet)
 
 # Strict left-turn threshold on Klein-chart cross products.
@@ -84,19 +84,15 @@ class ConvexPolygon:
     def side_normals(self) -> np.ndarray:
         """Unit normals of the side lines, oriented interior-positive.
 
-        A normal is lorentz_cross of two vertex rows, and its Lorentz norm
-        squares that product, so it overflows float64 from about distance 178
-        from the chart origin, half the coordinate domain.  Raises
-        GeometryError, naming the first such side, without a warning.
+        A normal does not depend on the scale of the rows it is crossed from,
+        so each row is first divided by the power of two that brings its t
+        into [0.5, 1).  That is exact, so the normals are bit for bit those of
+        the unscaled rows, and their Lorentz norm, which squares the cross
+        product, stays finite across the whole coordinate domain.
         """
         m = self.vertex_matrix
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, N = line_normals(m, np.concatenate((m[1:], m[:1])))
-        bad = ~(N[:, 0] < math.inf)  # inf, or NaN from inf - inf
-        if bad.any():
-            raise GeometryError(
-                f"side {int(bad.argmax())}'s normal overflows float64: side normals "
-                "need vertices within about distance 178 of the chart origin")
+        m = np.ldexp(m, -np.frexp(m[:, 2:])[1])
+        w = line_normals(m, np.concatenate((m[1:], m[:1])))[0]
         w.flags.writeable = False
         return w
 
@@ -225,9 +221,7 @@ def make_polygon(points: Iterable[HPoint]) -> ConvexPolygon:
     An adapter that passes the points' coordinates to :func:`polygon_from_rows`,
     with its checks and its domain: finite coordinates with x^2 + y^2 + t^2
     below float64's maximum, up to about distance 355 from the chart origin.
-    Queries that read side normals need vertices within about distance 178
-    (see :func:`polygon_from_rows`).  The vertices equal the points (as new
-    objects).
+    The vertices equal the points (as new objects).
     """
     return polygon_from_rows(np.array([(v.x, v.y, v.t) for v in points]).reshape(-1, 3))
 
@@ -239,17 +233,13 @@ def polygon_from_rows(rows) -> ConvexPolygon:
     must pass HPoint's validation; the first one that does not raises HPoint's
     GeometryError.  The domain is finite coordinates with x^2 + y^2 + t^2
     below float64's maximum, that is, up to about distance 355 from the chart
-    origin; a row beyond it raises GeometryError.  The side normals overflow
-    float64 from about distance 178, so beyond that edge every query that
-    reads them (``thickness``, the reducedness criterion, ``indisk``,
-    ``contains`` and the side lines) raises GeometryError from
-    ``ConvexPolygon.side_normals``, while ``diameter`` still answers.
-    Negatively oriented but convex input is reversed; non-convex input (a
-    right turn, collinear consecutive vertices, or a cycle winding more than
-    once around) raises NonConvex.  The orientation is the common sign of the
-    Klein-chart turn crosses.  Once every turn is strictly left, the winding
-    number is the number of times the edge direction passes from the lower
-    half-plane to the upper one, which sign tests count exactly.
+    origin; a row beyond it raises GeometryError.  Negatively oriented but
+    convex input is reversed; non-convex input (a right turn, collinear
+    consecutive vertices, or a cycle winding more than once around) raises
+    NonConvex.  The orientation is the common sign of the Klein-chart turn
+    crosses.  Once every turn is strictly left, the winding number is the
+    number of times the edge direction passes from the lower half-plane to
+    the upper one, which sign tests count exactly.
     """
     m = np.array(rows, dtype=float)
     if m.ndim != 2 or m.shape[1] != 3:
@@ -285,10 +275,12 @@ def perimeter(V: ConvexPolygon) -> float:
 
 
 def area(V: ConvexPolygon) -> float:
-    """Polygon area by angle defect: (n - 2)*pi minus the interior angles."""
+    """Polygon area by angle defect: (n - 2)*pi minus the interior angles, each
+    from two side lengths and a short diagonal of one stacked dist_pp call."""
     m = V.vertex_matrix
-    total = sum(angle_at(np.concatenate((m[-1:], m[:-1])), m,
-                         np.concatenate((m[1:], m[:1]))).tolist())
+    nxt = np.concatenate((m[1:], m[:1]))
+    L, D = dist_pp(np.stack((m, np.concatenate((m[-1:], m[:-1])))), nxt)
+    total = sum(angle_from_sides(np.concatenate((L[-1:], L[:-1])), L, D).tolist())
     return (V.n - 2) * math.pi - total
 
 

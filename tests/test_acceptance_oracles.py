@@ -12,7 +12,10 @@ before each pencil was restricted to its own column range: it runs every
 pencil over all n sinusoids, so the restricted sweep must reproduce it bit
 for bit.  The all-sides collapse sweep is the library's inscribed-disk sweep
 before each event was scored from its three defining sides: it scores every
-event against all n sides.
+event against all n sides.  The unscaled side normals, sheet step and
+angle-defect area are the library's formulas before their rows were rescaled
+by powers of two and before the area read the side lengths once: inside the
+old domain the library must reproduce them bit for bit.
 """
 
 import heapq
@@ -22,10 +25,31 @@ import numpy as np
 
 from hypwidth.hcore import (HLine, angle_at, dist_pp, foot, mink, signed_dist, unit_spacelike,
                             unit_timelike)
-from hypwidth.polygon import ConvexPolygon, side_line
+from hypwidth.polygon import ConvexPolygon, line_normals, side_line
 from hypwidth.width import width_line
 
 _J = np.array([1.0, 1.0, -1.0])
+
+
+def unscaled_side_normals(V: ConvexPolygon) -> np.ndarray:
+    """Side normals crossed from the vertex rows as they are; the Lorentz norm
+    overflows float64 from about distance 178 from the chart origin."""
+    m = V.vertex_matrix
+    return line_normals(m, np.roll(m, -1, axis=0))[0]
+
+
+def unscaled_to_sheet(v: np.ndarray) -> np.ndarray:
+    """Rows divided by sign(t) sqrt(t^2 - x^2 - y^2), with nothing rescaled first."""
+    sq = v * v
+    n = sq[..., 2] - sq[..., 0] - sq[..., 1]
+    return v / np.copysign(np.sqrt(n), v[..., 2])[..., None]
+
+
+def angle_defect_area(V: ConvexPolygon) -> float:
+    """(n - 2)*pi minus the interior angles, each from angle_at's three distances."""
+    m = V.vertex_matrix
+    angles = angle_at(np.roll(m, 1, axis=0), m, np.roll(m, -1, axis=0))
+    return (V.n - 2) * math.pi - sum(angles.tolist())
 
 
 def slerp_normal(u0: np.ndarray, u1: np.ndarray, s: float) -> np.ndarray:

@@ -200,16 +200,22 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize("command", ["thickness", "check-reduced"])
-    def test_overflowing_side_normal_is_2_without_warning(self, capsys, caplog, tmp_path,
-                                                           command):
+    def test_far_polygon_is_0_without_warning(self, capsys, tmp_path, command):
+        # The squares of this pentagon's side-normal and foot rows overflow
+        # float64 unless the rows are rescaled first.
         far = tmp_path / "far.json"
         far.write_text(emit_polygon(regular_ngon(5, 300.0), model="hyperboloid"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run(capsys, command, "--input", str(far))
-        assert code == 2
-        assert out == ""
-        assert "side 0's normal overflows float64" in caplog.text
+        assert code == 0
+        doc = json.loads(out)
+        expected = 300.0 + regular_apothem(5, 300.0)
+        if command == "thickness":
+            assert doc["thickness"] == pytest.approx(expected, rel=1e-13)
+        else:
+            assert doc["verdict"] is True
+            assert doc["mean_distance"] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("line", ["1e200,0,1e200", "1e200,0,0", "nan,0,1"])
     def test_unspacelike_line_is_2(self, capsys, caplog, pentagon_file, line):

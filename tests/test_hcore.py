@@ -145,6 +145,22 @@ class TestFiniteScale:
         with pytest.raises(GeometryError, match="^vector is not spacelike$"):
             unit_spacelike(np.array(v))
 
+    @pytest.mark.parametrize("v", [(1e10, 0.0, 1e-300), (1.0, 0.0, 0.0)])
+    def test_to_sheet_rejects_without_warning(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="^vector is not timelike$"):
+                to_sheet(np.array(v))
+
+    @pytest.mark.parametrize("v, row", [
+        ((1e300, 1e300, 1.5e300), [2.0, 2.0, 3.0]),  # the squares overflow
+        ((0.0, 0.0, -1e-320), [0.0, 0.0, 1.0]),  # the squares underflow to zero
+    ], ids=["overflow", "underflow"])
+    def test_to_sheet_rescales_without_warning(self, v, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert to_sheet(np.array(v)).tolist() == row
+
     def test_off_sheet_agrees_with_point(self):
         table = [  # row, whether HPoint rejects it
             ((0.0, 0.0, 1.0), False),

@@ -8,11 +8,13 @@ import pytest
 from hypwidth.corpus import nested_pair, random_convex_polygon
 from hypwidth.errors import GeometryError, NonConvex, TooFewVertices
 from hypwidth.extremal import indisk
-from hypwidth.hcore import HPoint, chart_to_hyperboloid, dist_pp, signed_dist
+from hypwidth.hcore import HPoint, chart_to_hyperboloid, dist_pp, mink, signed_dist, to_sheet
 from hypwidth.polygon import (area, contains, make_polygon, perimeter,
                               polygon_from_rows, side_line)
-from hypwidth.reduced import check_ordinary_reduced, regular_ngon
-from hypwidth.width import diameter, thickness
+from hypwidth.reduced import check_ordinary_reduced, regular_apothem, regular_ngon
+from hypwidth.width import thickness
+from polygon_families import hard_families
+from test_acceptance_oracles import angle_defect_area, unscaled_side_normals, unscaled_to_sheet
 
 
 def contains_origin(V):
@@ -111,8 +113,8 @@ class TestCoordinateDomain:
 
 class TestSideNormalOverflow:
     # A side normal is lorentz_cross of two vertex rows, of size about
-    # (e^R / 2)^2, and its Lorentz norm squares that again: float64 overflows
-    # near R = 178, half the coordinate domain.
+    # (e^R / 2)^2, and its Lorentz norm squares that again.  Rows rescaled by
+    # powers of two keep it finite across the whole coordinate domain.
     QUERIES = [lambda V: V.side_normals, thickness, check_ordinary_reduced, indisk,
                contains_origin]
 
@@ -124,15 +126,30 @@ class TestSideNormalOverflow:
                 query(V)
             assert check_ordinary_reduced(V).verdict
 
-    @pytest.mark.parametrize("R", [179.0, 250.0, 354.0])
-    def test_overflow_named_without_warning(self, R):
-        V = regular_ngon(5, R)
+    @pytest.mark.parametrize("n", [3, 5, 7, 31, 101])
+    def test_far_field_answered_without_warning(self, n):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for query in self.QUERIES:
-                with pytest.raises(GeometryError, match="side 0's normal overflows float64"):
-                    query(V)
-            assert diameter(V)[0] > 2 * R - 1.0  # no side normal needed
+            for R in np.linspace(170.0, 354.9, 29).tolist():
+                V = regular_ngon(n, R)
+                a = regular_apothem(n, R)
+                assert thickness(V).thickness == pytest.approx(R + a, rel=1e-13)
+                assert check_ordinary_reduced(V).verdict
+                assert indisk(V)[1] == pytest.approx(a, rel=1e-12)
+                assert contains_origin(V)
+
+
+class TestUnscaledReference:
+    def test_bit_identical_on_hard_families(self):
+        for V in hard_families():
+            m = V.vertex_matrix
+            assert V.side_normals.tobytes() == unscaled_side_normals(V).tobytes()
+            # Vertex rows off the sheet and on the lower one, and the
+            # projections of vertex i onto the line of side i + 1.
+            u = np.roll(V.side_normals, -1, axis=0)
+            for w in (m * 3.7, m * -0.01, m - mink(m, u)[:, None] * u):
+                assert to_sheet(w).tobytes() == unscaled_to_sheet(w).tobytes()
+            assert area(V) == angle_defect_area(V)
 
 
 class TestEquality:
