@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 ``GeometryError`` covers invalid inputs and violated invariants;
-``NumericalError`` covers iterative procedures that failed to converge.
+``NumericalError`` covers the reduced-family constructors that found no
+polygon: a solver that did not converge or left the family, and a target
+thickness the regular constructor cannot meet.
 The CLI maps the former to exit code 2 and the latter to exit code 3.
 """
 
@@ -35,7 +37,7 @@ class SchemaError(GeometryError):
 
 
 class NumericalError(Exception):
-    """Base class for solver and search failures."""
+    """Base class for the failures of the reduced-family constructors."""
 
 
 class NoConvergence(NumericalError):
@@ -43,7 +45,11 @@ class NoConvergence(NumericalError):
 
 
 class BracketFailure(NumericalError):
-    """Root bracketing failed inside the allowed parameter interval."""
+    """No regular polygon of the asked thickness within the allowed size.
+
+    The closed-form circumradius is not below r_max, or the polygon is too
+    small to be strictly convex in floating point.
+    """
 
 
 class LeftFamily(NumericalError):

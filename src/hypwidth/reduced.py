@@ -16,9 +16,7 @@ at the accepted point.  The check, the solver's final verdict and the
 boundary halving share one criterion kernel: the tolerance-free arrays of
 every vertex against its opposite side line are one read-only table per
 polygon, ``ConvexPolygon.opposite``, built once and read by every later
-call.  The solver seeds the side normals of the polygon it returns with the
-normals its last residual evaluation computed, so that table costs no
-further cross product.
+call.
 """
 
 from __future__ import annotations
@@ -108,9 +106,9 @@ def _criterion(V: ConvexPolygon, tol: float):
     barycentric margins inside their sides, the spread max d_i - min d_i and
     the verdict: every margin >= tol and the spread <= tol.  The arrays are
     the polygon's one read-only table ``ConvexPolygon.opposite``, built on the
-    first call for that polygon (or seeded by the solver through its side
-    normals) and shared by every later call whatever its tolerance; only the
-    verdict reads tol.  Raises GeometryError unless tol is finite and >= 0.
+    first call for that polygon and shared by every later call whatever its
+    tolerance; only the verdict reads tol.  Raises GeometryError unless tol
+    is finite and >= 0.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise GeometryError(f"tolerance must be finite and >= 0, got {tol}")
@@ -206,15 +204,13 @@ def _lift(x: np.ndarray) -> np.ndarray:
 class _Frame(NamedTuple):
     """The parts of the solver's system that stay fixed during one solve.
 
-    ia, ib are the ``opposite_side`` index arrays and idx stacks the vertex
-    indices over them; pos holds the flat positions in J of the (x, y)
-    derivatives of residual i in the vertices idx[:, i]; J0 is J with its
-    constant gauge rows filled in.  The three gauge equations keep vertex 0
-    at gauge_anchor and the first edge parallel to gauge_dir in (x, y).
+    idx stacks the vertex indices over the two ``opposite_side`` index arrays;
+    pos holds the flat positions in J of the (x, y) derivatives of residual i
+    in the vertices idx[:, i]; J0 is J with its constant gauge rows filled in.
+    The three gauge equations keep vertex 0 at gauge_anchor and the first edge
+    parallel to gauge_dir in (x, y).
     """
 
-    ia: np.ndarray
-    ib: np.ndarray
     idx: np.ndarray
     pos: np.ndarray
     J0: np.ndarray
@@ -225,13 +221,12 @@ class _Frame(NamedTuple):
 def _frame(n: int, gauge_anchor: np.ndarray, gauge_dir: np.ndarray) -> _Frame:
     """The ``_Frame`` of a solve for an n-gon; an even n raises EvenGon."""
     rows = np.arange(n)
-    ia, ib = opposite_side(rows, n)
-    idx = np.stack([rows, ia, ib])
+    idx = np.stack([rows, *opposite_side(rows, n)])
     pos = (2 * n * rows + 2 * idx)[..., None] + np.arange(2)
     J0 = np.zeros((n + 3, 2 * n))
     J0[n, 0] = J0[n + 1, 1] = 1.0
     J0[n + 2, :4] = [-gauge_dir[1], gauge_dir[0], gauge_dir[1], -gauge_dir[0]]
-    return _Frame(ia, ib, idx, pos, J0, gauge_anchor, gauge_dir)
+    return _Frame(idx, pos, J0, gauge_anchor, gauge_dir)
 
 
 def _residuals(x: np.ndarray, delta: float, frame: _Frame):
@@ -246,7 +241,7 @@ def _residuals(x: np.ndarray, delta: float, frame: _Frame):
     that side's line.
     """
     v = _lift(x)
-    u, N = line_normals(v[frame.ia], v[frame.ib])
+    u, N = line_normals(*v[frame.idx[1:]])
     f = mink(v, u)
     n = f.shape[0]
     e = v[1, :2] - v[0, :2]
@@ -303,7 +298,7 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
     reduced.  An even seed raises EvenGon from ``opposite_side``.
     """
     if not (delta > 0.0) or not math.isfinite(delta):
-        raise GeometryError(f"target distance must be positive, got {delta}")
+        raise GeometryError(f"target distance must be positive and finite, got {delta}")
     if max_iterations < 0:
         raise GeometryError(f"max_iterations must be >= 0, got {max_iterations}")
 
@@ -332,15 +327,10 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
         if worst > residual_tol:
             raise NoConvergence(f"residual {worst:.3e} after {max_iterations} iterations")
 
-    v, _, u, _ = lifted
     try:
-        P = polygon_from_rows(v)
+        P = polygon_from_rows(lifted[0])
     except NonConvex as exc:
         raise LeftFamily(f"solution lost convexity: {exc}") from exc
-    if np.array_equal(P.vertex_matrix, v):  # not reversed: side j is opposite vertex ib[j]
-        side_normals = u[frame.ib]
-        side_normals.flags.writeable = False
-        P.__dict__["side_normals"] = side_normals  # where the cached property keeps it
     _, _, margins, spread, verdict = _criterion(P, REDUCED_TOL)
     if not verdict:
         raise LeftFamily(
@@ -384,34 +374,11 @@ class HalvingRecord:
     beta: float
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class HalvingReport:
-    """Boundary halving of an ordinary reduced odd-gon, one HalvingRecord per vertex.
+    """Boundary halving of an ordinary reduced odd-gon, one HalvingRecord per vertex."""
 
-    records is built the first time it is read, from the kernel's read-only
-    arrays: chord_left, chord_right, half_perimeter_gap, alpha and beta, one
-    entry per vertex.  Equality, hashing and repr are those of (records,).
-    """
-
-    kernel: tuple
-
-    @cached_property
-    def records(self) -> tuple[HalvingRecord, ...]:
-        return tuple(
-            HalvingRecord(index=i, chord_left=cl, chord_right=cr, half_perimeter_gap=g,
-                          alpha=a, beta=b)
-            for i, (cl, cr, g, a, b) in enumerate(zip(*(x.tolist() for x in self.kernel))))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.records == other.records
-
-    def __hash__(self) -> int:
-        return hash((self.records,))
-
-    def __repr__(self) -> str:
-        return f"HalvingReport(records={self.records!r})"
+    records: tuple[HalvingRecord, ...]
 
 
 def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingReport:
@@ -449,10 +416,12 @@ def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingRepo
     arc2 = chord_right + window[ib]
     # alpha from (lengths, to_foot, next_foot), beta from (to_foot, to_far, chord_right)
     alpha, beta = angle_from_sides(d[[0, 4]], d[[4, 6]], d[[5, 2]])
-    kernel = (chord_left, chord_right, arc1 - arc2, alpha, beta)
-    for x in kernel:
-        x.flags.writeable = False
-    return HalvingReport(kernel=kernel)
+    return HalvingReport(records=tuple(
+        HalvingRecord(index=i, chord_left=cl, chord_right=cr, half_perimeter_gap=g,
+                      alpha=a, beta=b)
+        for i, (cl, cr, g, a, b) in enumerate(zip(
+            chord_left.tolist(), chord_right.tolist(), (arc1 - arc2).tolist(),
+            alpha.tolist(), beta.tolist()))))
 
 
 def diameter_bound(delta: float) -> float:

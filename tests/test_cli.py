@@ -158,6 +158,12 @@ class TestExitCodes:
         assert code == 0
         assert parse_polygon(out).n == 5
 
+    def test_infinite_delta_is_2(self, capsys, pentagon_file, caplog):
+        code, out = run(capsys, "solve", "--seed", pentagon_file, "--delta", "inf")
+        assert code == 2
+        assert out == ""
+        assert "must be positive and finite, got inf" in caplog.text
+
     def test_negative_iterations_is_2(self, capsys, pentagon_file):
         code, out = run(capsys, "solve", "--seed", pentagon_file, "--delta", "1",
                         "--max-iterations", "-1")

@@ -49,8 +49,7 @@ TRIANGLE_RECORDS = (
     "y=0.2788245313253122, t=1.073235605562176), distance=1.0563799036359636, "
     "foot_interior=True, interior_margin=0.407719274684202))")
 
-# repr(perimeter_halving(regular_ngon(3, 0.5))), as the report was printed
-# when its records were built eagerly.
+# repr(perimeter_halving(regular_ngon(3, 0.5))).
 REGULAR_TRIANGLE_HALVING = (
     "HalvingReport(records=(HalvingRecord(index=0, chord_left=0.43721826415672366, "
     "chord_right=0.4372182641567236, half_perimeter_gap=-4.440892098500626e-16, "
@@ -413,8 +412,8 @@ class TestSolve:
 
     def test_opposite_table_built_once(self, monkeypatch):
         # solve -> check -> halving -> bound on one polygon: the criterion
-        # table is built once, from the side normals the solver seeded, and no
-        # side normal is formed after the last residual evaluation.
+        # table is built once, and forms the returned polygon's side normals
+        # once.
         events = self._count_evaluations(monkeypatch)
         for module in (reduced, polygon):
             def counted(a, b, line_normals=module.line_normals):
@@ -438,13 +437,13 @@ class TestSolve:
         kinds = [k for k, _, _ in events]
         last = max(i for i, k in enumerate(kinds) if k == "r")
         assert kinds.count("J") > 0
-        assert kinds.count("normals") == kinds.count("r")  # one inside each evaluation
-        assert kinds[last + 1:] == ["table"] and kinds.count("table") == 1
+        assert kinds[:last + 1].count("normals") == kinds.count("r")  # one inside each evaluation
+        assert kinds[last + 1:] == ["table", "normals"] and kinds.count("table") == 1
 
     def test_reordered_rows_are_not_seeded(self, monkeypatch):
         # polygon_from_rows may return the rows in another order (it reverses a
-        # negatively oriented cycle); then the solver's normals belong to other
-        # sides, and the returned polygon must form its own.
+        # negatively oriented cycle); the returned polygon's side normals are
+        # those of its own rows, whatever the solver's residuals formed.
         monkeypatch.setattr(reduced, "polygon_from_rows",
                             lambda rows: polygon_from_rows(np.roll(rows, 1, axis=0)))
         reg = regular_ngon_with_thickness(7, 1.0)
@@ -466,6 +465,11 @@ class TestSolve:
         seed = perturbed_polygon(regular_ngon_with_thickness(5, 1.0), np.random.default_rng(0))
         with pytest.raises(NoConvergence, match="after 0 iterations"):
             solve_ordinary_reduced(seed, 1.0, max_iterations=0)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_delta_rejected(self, delta):
+        with pytest.raises(GeometryError, match="target distance must be positive and finite"):
+            solve_ordinary_reduced(regular_ngon_with_thickness(5, 1.0), delta)
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(GeometryError, match="max_iterations"):
@@ -513,7 +517,7 @@ class TestSolve:
                     except NumericalError:
                         continue
                     solved += 1
-                    # The solver seeds the side normals a fresh polygon would form.
+                    # The returned polygon's side normals are those a fresh one forms.
                     fresh = polygon_from_rows(S.vertex_matrix).side_normals
                     assert S.side_normals.tobytes() == fresh.tobytes()
                     assert not S.side_normals.flags.writeable
@@ -566,7 +570,6 @@ class TestPerimeterHalving:
     def test_report_repr_eq_and_hash(self):
         V = regular_ngon(3, 0.5)
         rep = perimeter_halving(V)
-        assert "records" not in vars(rep)  # built on first read
         assert repr(rep) == REGULAR_TRIANGLE_HALVING
         assert type(rep.records) is tuple
         assert all(type(r) is HalvingRecord for r in rep.records)
@@ -574,7 +577,6 @@ class TestPerimeterHalving:
         assert rep == again and hash(rep) == hash(again) == hash((rep.records,))
         assert rep != perimeter_halving(regular_ngon(5, 0.5))
         assert rep != rep.records
-        assert not any(x.flags.writeable for x in rep.kernel)
 
     def test_nan_tolerance_is_invalid_not_unreduced(self):
         with pytest.raises(GeometryError, match="tolerance must be finite") as info:
