@@ -6,12 +6,12 @@ derived from the bilinear form B(p, q) = px*qx + py*qy - pt*qt.  The metric
 diagonal, the sheet normalisation and the disk-chart formulas live here only.
 ``mink``, ``to_sheet``, ``hyperboloid_to_chart``, ``lorentz_cross``,
 ``dist_pp`` and ``angle_at`` also take stacked (..., 3) rows, one result per
-row, and ``angle_from_sides`` takes arrays of side lengths.  ``off_sheet``,
+row, and ``angle_from_sides`` takes arrays of side lengths.
 ``chart_rows_to_hyperboloid`` and ``polar_rows`` are the array forms of
-``HPoint``'s validation, ``chart_to_hyperboloid`` and ``polar_point``, with
-the same arithmetic row by row, and ``lines_from_normals`` validates rows as
-``HLine`` does.  All functions are pure and all value types are immutable,
-so everything here is safe to call concurrently.
+``chart_to_hyperboloid`` and ``polar_point``, with the same arithmetic row by
+row.  ``HPoint``, ``HLine``, ``off_sheet`` and ``lines_from_normals`` test the
+unit norm by one formula.  All functions are pure and all value types are
+immutable, so everything here is safe to call concurrently.
 
 Far from the origin the form evaluates with catastrophic cancellation
 (coordinates grow like cosh of the distance), so the unit-norm tolerances are
@@ -79,23 +79,21 @@ def mink(p, q):
     return f if isinstance(f, np.ndarray) else float(f)
 
 
-def _norm_tol(x: float, y: float, t: float) -> float:
-    """Unit-norm tolerance of HPoint and HLine; NaN, which no error passes,
-    once the scale x^2 + y^2 + t^2 overflows float64."""
-    tol = max(UNIT_NORM_TOL, 64.0 * _EPS * (x * x + y * y + t * t))
-    return tol if tol < math.inf else math.nan
+def _unit_error(x, y, t, norm: float):
+    """|B(r, r) - norm| of the row r = (x, y, t), and whether the row fails: the
+    error is NaN or beyond max(UNIT_NORM_TOL, 64 eps (x^2 + y^2 + t^2)), or that
+    scale overflows.  Takes floats (no numpy call) or array columns alike."""
+    tt, xy = t * t, x * x + y * y
+    err = abs(xy - tt - norm)
+    scale = xy + tt
+    return err, ((err > UNIT_NORM_TOL) & (err > 64.0 * _EPS * scale)
+                 | (scale == math.inf) | (err != err))
 
 
 def _off_unit(a: np.ndarray, norm: float) -> np.ndarray:
-    """Which rows of an (n, 3) array have |B(r, r) - norm| beyond the unit-norm
-    tolerance of HPoint (norm -1) and HLine (norm 1), or NaN, or an
-    overflowing tolerance.  Rows that overflow fail silently."""
+    """Which rows of an (n, 3) array fail the unit-norm test; overflow is silent."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = a * a
-        xy = sq[:, 0] + sq[:, 1]
-        err = np.abs(xy - sq[:, 2] - norm)
-        tol = np.maximum(UNIT_NORM_TOL, 64.0 * _EPS * (xy + sq[:, 2]))
-        return ~(err <= tol) | (tol == math.inf)
+        return _unit_error(a[:, 0], a[:, 1], a[:, 2], norm)[1]
 
 
 def off_sheet(a: np.ndarray) -> np.ndarray:
@@ -120,8 +118,8 @@ class HPoint:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "t", float(self.t))
-        err = abs(self.x * self.x + self.y * self.y - self.t * self.t + 1.0)
-        if not err <= _norm_tol(self.x, self.y, self.t):
+        err, bad = _unit_error(self.x, self.y, self.t, -1.0)
+        if bad:
             raise GeometryError(
                 f"point not on the unit hyperboloid: B(p,p)+1 = {err:.3e}")
         if self.t <= 0.0:
@@ -155,8 +153,8 @@ class HLine:
         object.__setattr__(self, "ux", float(self.ux))
         object.__setattr__(self, "uy", float(self.uy))
         object.__setattr__(self, "ut", float(self.ut))
-        err = abs(self.ux * self.ux + self.uy * self.uy - self.ut * self.ut - 1.0)
-        if not err <= _norm_tol(self.ux, self.uy, self.ut):
+        err, bad = _unit_error(self.ux, self.uy, self.ut, 1.0)
+        if bad:
             raise GeometryError(
                 f"normal is not unit spacelike: B(u,u)-1 = {err:.3e}")
 
@@ -172,12 +170,12 @@ class HLine:
         return HLine(a[0], a[1], a[2])
 
     def canonical(self) -> "HLine":
-        """Sign-normalized form: first coordinate of modulus > 1e-12 positive."""
+        """Sign-normalized form: first coordinate of modulus > 1e-12 positive.
+        As ux^2 + uy^2 = 1 + ut^2, ux or uy always qualifies."""
         v = self.vec
         for c in v:
             if abs(c) > 1e-12:
                 return self if c > 0 else HLine(-v[0], -v[1], -v[2])
-        return self
 
 
 def lines_from_normals(u) -> tuple[HLine, ...]:

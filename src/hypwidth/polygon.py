@@ -252,7 +252,7 @@ def polygon_from_rows(rows) -> ConvexPolygon:
     k = hyperboloid_to_chart(m, "klein")
     e, crosses, nxt = _turns(k)
     if (crosses < 0.0).all():
-        m, k = m[::-1].copy(), k[::-1].copy()
+        m, k = m[::-1].copy(), k[::-1]
         e, crosses, nxt = _turns(k)
     if (crosses <= CONVEXITY_TOL).any():
         j = int(np.argmin(crosses))
@@ -263,10 +263,7 @@ def polygon_from_rows(rows) -> ConvexPolygon:
     if np.count_nonzero(~upper & upper[nxt]) != 1:
         raise NonConvex("vertex cycle winds around more than once")
     m.flags.writeable = False
-    k.flags.writeable = False
-    P = ConvexPolygon(m)
-    P.__dict__["klein"] = k  # where the cached property keeps its value
-    return P
+    return ConvexPolygon(m)
 
 
 def perimeter(V: ConvexPolygon) -> float:

@@ -14,9 +14,8 @@ import hypwidth
 
 MODULES = sorted(Path(hypwidth.__file__).parent.glob("*.py"))
 
-# The scopes allowed to write into a __dict__: the two validated builders.
-OWNERS = {"hcore.py": ["hcore.lines_from_normals"],
-          "polygon.py": ["polygon.polygon_from_rows"]}
+# The one scope allowed to write into a __dict__: the validated line builder.
+OWNERS = {"hcore.py": ["hcore.lines_from_normals"]}
 
 MUTATORS = {"update", "setdefault"}
 

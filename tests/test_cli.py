@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import warnings
@@ -245,3 +246,47 @@ class TestExitCodes:
     def test_conflicting_flags_is_2(self, capsys, pentagon_file):
         code, _ = run(capsys, "width", "--input", pentagon_file)
         assert code == 2
+
+
+class TestInputErrors:
+    """Each validation error exits 2, prints nothing and logs its exact text."""
+
+    def assert_rejected(self, capsys, caplog, argv, text):
+        code, out = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"validation error: {text}\n" in caplog.text
+
+    def test_stdin_input(self, capsys, monkeypatch, pentagon_file):
+        with open(pentagon_file) as fh:
+            monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+        from_stdin = run(capsys, "thickness", "--input", "-")
+        assert from_stdin[0] == 0
+        assert from_stdin == run(capsys, "thickness", "--input", pentagon_file)
+
+    @pytest.mark.parametrize("doc, text", [
+        ("[]", "document root must be a JSON object"),
+        ('{"model": "klein", "vertices": []}', "field 'vertices': expected a non-empty list"),
+        ('{"model": "klein", "vertices": [[0.3, 0], [-0.15, 0.26], [-0.15, -0.26]], '
+         '"metadata": 1}', "field 'metadata': expected an object"),
+    ])
+    def test_document_shape_on_stdin(self, capsys, caplog, monkeypatch, doc, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        self.assert_rejected(capsys, caplog, ["thickness", "--input", "-"], text)
+
+    def test_short_line(self, capsys, caplog, pentagon_file):
+        self.assert_rejected(capsys, caplog,
+                             ["width", "--input", pentagon_file, "--line", "1,2"],
+                             "expected --line as 'ux,uy,ut'")
+
+    @pytest.mark.parametrize("sizes", [[], ["--thickness", "1", "--circumradius", "1"]])
+    def test_regular_needs_one_size(self, capsys, caplog, sizes):
+        self.assert_rejected(capsys, caplog, ["regular", "--n", "5", *sizes],
+                             "give exactly one of --thickness or --circumradius")
+
+    @pytest.mark.parametrize("n, thickness, text", [
+        ("5", "0", "thickness must be positive and finite, got 0.0"),
+        ("4", "1", "regular construction requires an odd n >= 3, got n = 4"),
+    ])
+    def test_regular_thickness_rejected(self, capsys, caplog, n, thickness, text):
+        self.assert_rejected(capsys, caplog, ["regular", "--n", n, "--thickness", thickness],
+                             text)

@@ -195,6 +195,12 @@ class TestRhombus:
         with pytest.raises(EvenGon):
             check_ordinary_reduced(rhombus(1.0, 1.0))
 
+    def test_degenerate_diagonal_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            rhombus(0.0, 1.0)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "diagonal half-lengths must be positive"
+
 
 class TestRatioScan:
     def test_negative_perturbations_rejected(self):

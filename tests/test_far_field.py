@@ -1,18 +1,22 @@
-"""Far-field rounding faults on centred regular polygons (ROADMAP item 2).
+"""Far-field faults on centred regular polygons (ROADMAP item 2).
 
 Each test asserts the correct answer and is a strict xfail: the library gets
 it wrong today, and a fix makes the test pass, which fails the run until its
-marker is removed.  The faults are not overflow; the cancellation grows like
-eps * cosh^3 of the distance from the chart origin.
+marker is removed.  Most faults are rounding, whose cancellation grows like
+eps * cosh^3 of the distance from the chart origin; the three that expect a
+RuntimeWarning are intermediate quantities that overflow inside the
+coordinate domain, a warning the test configuration turns into an error.
 """
 
 import json
+import math
 
 import pytest
 
 from hypwidth.cli import main
 from hypwidth.errors import GeometryError, NotSupporting
-from hypwidth.polygon import side_line
+from hypwidth.hcore import angle_at
+from hypwidth.polygon import area, side_line
 from hypwidth.reduced import perimeter_halving, regular_apothem, regular_ngon
 from hypwidth.width import diameter, diameter_via_width, width_line
 
@@ -59,3 +63,42 @@ def test_perimeter_halving_holds(n, R):
     for r in rep.records:
         assert abs(r.chord_left - r.chord_right) <= 1e-8
         assert abs(r.half_perimeter_gap) <= 1e-8
+
+
+@far_field(AssertionError)
+def test_verify_halving_passes(capsys, tmp_path):
+    # chord_gap and half_perimeter_gap read 1.6e-8 against the 1e-8 margin.
+    path = tmp_path / "pentagon.json"
+    assert main(["regular", "--n", "5", "--circumradius", "18.5", "--model", "hyperboloid",
+                 "--output", str(path)]) == 0
+    assert main(["verify", "--theorem", "2", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["passed"] is True
+
+
+def regular_angle(n, R):
+    """Interior angle of the regular n-gon of circumradius R: its right triangle
+    at a vertex has cot(angle / 2) = cosh(R) tan(pi / n)."""
+    return 2.0 * math.atan(1.0 / (math.cosh(R) * math.tan(math.pi / n)))
+
+
+# Two adjacent sides of these pentagons sum to about 798; the law of cosines in
+# angle_from_sides overflows past about 710 and, without the warning, gives NaN.
+@far_field(RuntimeWarning)
+def test_area_of_large_pentagon():
+    assert area(regular_ngon(5, 200.0)) == pytest.approx(
+        3.0 * math.pi - 5.0 * regular_angle(5, 200.0), rel=1e-12)
+
+
+@far_field(RuntimeWarning)
+def test_angle_at_vertex_of_large_pentagon():
+    V = regular_ngon(5, 200.0)
+    assert angle_at(V.vertex(4), V.vertex(0), V.vertex(1)) == pytest.approx(
+        regular_angle(5, 200.0), rel=1e-9)
+
+
+@far_field(RuntimeWarning)
+def test_diameter_via_width_of_large_triangle():
+    # The pencil peaks overflow; without the warning the answer is 377.2
+    # against a diameter of 679.7.
+    V = regular_ngon(3, 340.0)
+    assert diameter_via_width(V) == pytest.approx(diameter(V)[0], rel=1e-12)

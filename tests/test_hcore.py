@@ -10,7 +10,7 @@ from hypwidth.errors import GeometryError
 from hypwidth.hcore import (ASYMPTOTIC, COINCIDENT, HLine, HPoint,
                             INTERSECTING, ULTRAPARALLEL, UNIT_NORM_TOL, angle_at,
                             angle_from_sides, apply_isometry,
-                            chart_to_hyperboloid, dist_pp, foot,
+                            chart_rows_to_hyperboloid, chart_to_hyperboloid, dist_pp, foot,
                             geodesic_point, hyperboloid_to_chart,
                             line_relation, line_through, lines_from_normals,
                             lorentz_cross, mink, off_sheet, polar_point, random_isometry,
@@ -330,6 +330,12 @@ class TestFoot:
                 fq = HPoint(*points_on_line(L, [1.5])[0])
             assert angle_at(p, f, fq) == pytest.approx(math.pi / 2.0, abs=1e-9)
 
+    def test_stacked_points_rejected(self):
+        with pytest.raises(GeometryError) as exc:
+            foot(np.stack([X1.vec, Y1.vec]), X_AXIS)
+        assert type(exc.value) is GeometryError
+        assert str(exc.value) == "expected a 3-vector, got shape (2, 3)"
+
     def test_minimizes_distance(self, rng):
         p = random_point(rng)
         L = random_line(rng)
@@ -505,6 +511,12 @@ class TestCharts:
             with pytest.raises(GeometryError):
                 chart_to_hyperboloid(0.8, 0.7, chart)
 
+    def test_unknown_chart_rows_rejected(self):
+        with pytest.raises(GeometryError) as exc:
+            chart_rows_to_hyperboloid(np.array([[0.1, 0.2]]), "halfplane")
+        assert type(exc.value) is GeometryError
+        assert str(exc.value) == "unknown chart 'halfplane' (expected 'klein' or 'poincare')"
+
 
 class TestIsometries:
     def test_translation_moves_origin(self):
@@ -541,3 +553,9 @@ class TestGeodesicPoint:
             m = geodesic_point(p, q, s)
             assert dist_pp(p, m) == pytest.approx(s, abs=1e-12)
             assert dist_pp(m, q) == pytest.approx(d - s, abs=1e-12)
+
+    def test_coincident_points_rejected(self):
+        with pytest.raises(GeometryError) as exc:
+            geodesic_point(X1, X1, 0.1)
+        assert type(exc.value) is GeometryError
+        assert str(exc.value) == "geodesic direction undefined for coincident points"

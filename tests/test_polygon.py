@@ -8,7 +8,8 @@ import pytest
 from hypwidth.corpus import nested_pair, random_convex_polygon
 from hypwidth.errors import GeometryError, NonConvex, TooFewVertices
 from hypwidth.extremal import indisk
-from hypwidth.hcore import HPoint, chart_to_hyperboloid, dist_pp, mink, signed_dist, to_sheet
+from hypwidth.hcore import (HPoint, chart_to_hyperboloid, dist_pp, hyperboloid_to_chart, mink,
+                            signed_dist, to_sheet)
 from hypwidth.polygon import (area, contains, make_polygon, perimeter,
                               polygon_from_rows, side_line)
 from hypwidth.reduced import check_ordinary_reduced, regular_apothem, regular_ngon
@@ -87,6 +88,22 @@ class TestOneConstructor:
             assert W.vertex_matrix.tobytes() == U.vertex_matrix.tobytes()
             assert W == U and hash(W) == hash(U) and repr(W) == repr(U)
             assert set(W.vertices) == set(pts)
+
+    def test_rows_of_two_rejected(self):
+        with pytest.raises(GeometryError) as exc:
+            polygon_from_rows(np.zeros((3, 2)))
+        assert type(exc.value) is GeometryError
+        assert str(exc.value) == "expected (n, 3) vertex rows, got shape (3, 2)"
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_klein_rows_built_on_first_read(self, reverse):
+        V = regular_ngon(7, 1.3)
+        W = polygon_from_rows(V.vertex_matrix[::-1] if reverse else V.vertex_matrix)
+        assert "klein" not in W.__dict__
+        k = W.klein
+        assert k.tobytes() == hyperboloid_to_chart(W.vertex_matrix, "klein").tobytes()
+        assert not k.flags.writeable
+        assert W.klein is k
 
 
 class TestCoordinateDomain:

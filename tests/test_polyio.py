@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypwidth.corpus import random_convex_polygon
-from hypwidth.errors import NonConvex, SchemaError
+from hypwidth.errors import GeometryError, NonConvex, SchemaError
 from hypwidth.extremal import ScanRow
 from hypwidth.hcore import HPoint, chart_to_hyperboloid
 from hypwidth.polygon import make_polygon
@@ -99,6 +99,17 @@ class TestParse:
             parse_polygon('{"model":"klein","vertices":'
                           '[[0.4,0],[0,0.4],[-0.4,-0.4],[0.05,0]]}')
 
+    @pytest.mark.parametrize("doc, text", [
+        ('[[0.3, 0], [-0.15, 0.26], [-0.15, -0.26]]', "document root must be a JSON object"),
+        ('{"model": "klein", "vertices": []}', "field 'vertices': expected a non-empty list"),
+        ('{"model": "klein", "vertices": [[0.3, 0], [-0.15, 0.26], [-0.15, -0.26]], '
+         '"metadata": ["t"]}', "field 'metadata': expected an object"),
+    ])
+    def test_document_shape_rejected(self, doc, text):
+        with pytest.raises(SchemaError) as exc:
+            parse_polygon(doc)
+        assert str(exc.value) == text
+
     def test_metadata_kept(self):
         pf = parse_polygon_file('{"model":"klein","vertices":[[0.3,0],[-0.15,0.26],'
                                 '[-0.15,-0.26]],"metadata":{"name":"t"}}')
@@ -143,6 +154,13 @@ class TestEmit:
         assert doc["model"] == "klein"
         assert doc["metadata"] == {"name": "tri"}
         assert len(doc["vertices"]) == 3
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(GeometryError) as exc:
+            emit_polygon(regular_ngon(3, 0.5), model="halfplane")
+        assert type(exc.value) is GeometryError
+        assert str(exc.value) == ("unknown model 'halfplane', expected one of "
+                                  "('hyperboloid', 'klein', 'poincare')")
 
     def test_seventeen_digit_floats(self):
         V = regular_ngon(3, 1.0)

@@ -195,6 +195,15 @@ class TestCheckOrdinaryReduced:
         rep = check_ordinary_reduced(regular_ngon_with_thickness(5, 1.0), tol=0.0)
         assert all(r.foot_interior for r in rep.records)
 
+    def test_report_eq_and_hash(self):
+        V = regular_ngon(5, 1.0)
+        rep = check_ordinary_reduced(V)
+        again = check_ordinary_reduced(polygon_from_rows(V.vertex_matrix))
+        assert rep is not again
+        assert rep == again and hash(rep) == hash(again)
+        assert (rep == 1) is False
+        assert rep != check_ordinary_reduced(regular_ngon(5, 1.1))
+
     def test_records_repr_pinned(self):
         tri = make_polygon(HPoint(math.sinh(0.7) * math.cos(a), math.sinh(0.7) * math.sin(a),
                                   math.cosh(0.7)) for a in (0.1, 2.0, 4.4))
@@ -267,6 +276,18 @@ class TestRegularNgonWithThickness:
         for delta in (60.0, 1e-7):
             with pytest.raises(BracketFailure):
                 regular_ngon_with_thickness(3, delta)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_thickness_rejected(self, delta):
+        with pytest.raises(GeometryError) as exc:
+            regular_ngon_with_thickness(5, delta)
+        assert type(exc.value) is GeometryError
+        assert str(exc.value) == f"thickness must be positive and finite, got {delta}"
+
+    def test_even_n_rejected(self):
+        with pytest.raises(EvenGon) as exc:
+            regular_ngon_with_thickness(4, 1.0)
+        assert str(exc.value) == "regular construction requires an odd n >= 3, got n = 4"
 
     def test_closed_form_grid(self):
         for n in range(3, 52, 2):
