@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import GeometryError, NonConvex, SchemaError, TooFewVertices
 from .extremal import ScanRow
-from .hcore import (HPoint, chart_rows_to_hyperboloid, chart_to_hyperboloid,
-                    hyperboloid_to_chart, off_sheet)
+from .hcore import (chart_rows_to_hyperboloid, chart_to_hyperboloid, hyperboloid_to_chart,
+                    off_sheet)
 from .polygon import ConvexPolygon, polygon_from_rows
 
 MODELS = ("hyperboloid", "klein", "poincare")
@@ -72,10 +72,10 @@ def parse_polygon_file(text: str) -> PolygonFile:
 def polygon_from_file(pf: PolygonFile) -> ConvexPolygon:
     """Lift a parsed document to a validated convex polygon.
 
-    All rows lift at once.  When a row does not lift onto the upper sheet (a
-    chart row outside the unit disk lifts off it), the first such row is
-    lifted again on its own, and its error is raised as a SchemaError that
-    names it.
+    All rows lift at once.  When rows are off the upper sheet, a SchemaError
+    names the first of them and carries HPoint's error for it.  A chart row
+    outside the unit disk lifts off the sheet; that row alone is lifted again
+    to give the unit-disk message instead.
     """
     rows = np.array(pf.vertices, dtype=float)
     m = rows if pf.model == "hyperboloid" else chart_rows_to_hyperboloid(rows, pf.model)
@@ -83,17 +83,15 @@ def polygon_from_file(pf: PolygonFile) -> ConvexPolygon:
         return polygon_from_rows(m)
     except (NonConvex, TooFewVertices):
         raise
-    except GeometryError:  # HPoint's error for a row off the sheet
+    except GeometryError as exc:  # HPoint's error for the first row off the sheet
         i = int(np.flatnonzero(off_sheet(m))[0])
-        row = pf.vertices[i]
-        try:
-            if pf.model == "hyperboloid":
-                HPoint(*row)
-            else:
-                chart_to_hyperboloid(row[0], row[1], pf.model)
-        except GeometryError as exc:
-            raise SchemaError(f"field 'vertices[{i}]': {exc}") from exc
-        raise
+        err = exc
+        if pf.model != "hyperboloid":
+            try:  # the same floats: raises the unit-disk error, or HPoint's again
+                chart_to_hyperboloid(*pf.vertices[i], pf.model)
+            except GeometryError as lift:
+                err = lift
+        raise SchemaError(f"field 'vertices[{i}]': {err}") from err
 
 
 def parse_polygon(text: str) -> ConvexPolygon:

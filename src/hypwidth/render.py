@@ -60,15 +60,11 @@ def _poincare_circle(z1: tuple[float, float], z2: tuple[float, float]):
     return (cx, cy), r
 
 
-def _geodesic_path(p: HPoint | tuple[float, float], q: HPoint | tuple[float, float],
-                   chart: str, move: bool = True) -> str:
-    """SVG path fragment for the geodesic from p to q in the given chart.
+def _geodesic_path(z1, z2, chart: str, move: bool = True) -> str:
+    """SVG path fragment for the geodesic between the chart points z1 and z2.
 
-    p and q may be hyperboloid points or chart coordinates (the latter allows
-    ideal boundary points).
+    The points may lie on the boundary circle (ideal points).
     """
-    z1 = hyperboloid_to_chart(p, chart) if isinstance(p, HPoint) else p
-    z2 = hyperboloid_to_chart(q, chart) if isinstance(q, HPoint) else q
     s1, s2 = _svg_pt(z1), _svg_pt(z2)
     head = f"M {_num(s1[0])} {_num(s1[1])} " if move else ""
     if chart == "klein":
@@ -95,7 +91,8 @@ def line_ideal_endpoints(L: HLine) -> tuple[tuple[float, float], tuple[float, fl
 
 def render_svg(V: ConvexPolygon, spec: RenderSpec = RenderSpec()) -> str:
     """Render a polygon (and optionally its vertex projections) as SVG text."""
-    chart = spec.chart  # hyperboloid_to_chart rejects an unknown chart
+    chart = spec.chart
+    pts = hyperboloid_to_chart(V.vertex_matrix, chart).tolist()  # rejects an unknown chart
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -107,7 +104,7 @@ def render_svg(V: ConvexPolygon, spec: RenderSpec = RenderSpec()) -> str:
     side_parts = []
     for i in range(V.n):
         side_parts.append(
-            _geodesic_path(V.vertex(i), V.vertex(i + 1), chart, move=(i == 0)))
+            _geodesic_path(pts[i], pts[(i + 1) % V.n], chart, move=(i == 0)))
     out.append(f'  <path d="{" ".join(side_parts)} Z" fill="none" '
                f'stroke="{spec.polygon_color}" stroke-width="{_num(spec.stroke_width)}"/>')
 
@@ -123,7 +120,7 @@ def render_svg(V: ConvexPolygon, spec: RenderSpec = RenderSpec()) -> str:
                            f'stroke-width="{_num(0.5 * spec.stroke_width)}"/>')
         if spec.show_feet:
             for i, z in enumerate(feet):
-                seg = _geodesic_path(V.vertex(i), z, chart)
+                seg = _geodesic_path(pts[i], z, chart)
                 out.append(f'  <path d="{seg}" fill="none" stroke="{spec.foot_color}" '
                            f'stroke-width="{_num(0.5 * spec.stroke_width)}"/>')
             for z in feet:

@@ -25,17 +25,17 @@ of the envelope walks the convex hull of the P_j monotonically: from f_i =
 argmax_j a_j, the vertex farthest from side i - 1, at theta = 0, to f_{i+1}
 at omega.  No vertex outside the cyclic range from f_i to f_{i+1} reaches
 the envelope inside the pencil, and the sweep and the peaks read only that
-range (rotating calipers, after Toussaint 1983).  Nor does the sweep go on
-once its top is f_{i+1}: from there to omega the envelope is one concave
-piece, whose minimum is at one of its ends, so each pencil takes one sweep
-step per breakpoint and none after its last.  The ranges overlap only at
-their ends and go round the cycle once, so their lengths add up to about
-2n, and each is padded to the longest.  The frames and the cut ranges are
-one table per polygon, ``ConvexPolygon.pencils``, shared by every query
-here; the n x n products that give a_j, b_j and f_i are formed once per
-polygon, when that table is built, and not kept.  ``pencil_line`` and the
-ultraparallel oracle read only the O(n) frames, ``pencil_frames``, which
-that table reuses.
+range (rotating calipers, after Toussaint 1983).  A pencil leaves the sweep
+once no breakpoint is left below omega or f_{i+1} is the top: from there to
+omega the envelope is one concave piece, whose minimum is at one of its
+ends, so each pencil takes one sweep step per breakpoint and none after its
+last.  The ranges overlap only at their ends and go round the cycle once, so
+their lengths add up to about 2n, and each is padded to the longest.  The
+frames and the cut ranges are one table per polygon, ``ConvexPolygon.pencils``,
+shared by every query here; the n x n products that give a_j, b_j and f_i
+are formed once per polygon, when that table is built, and not kept.
+``pencil_line`` and the ultraparallel oracle read only the O(n) frames,
+``pencil_frames``, which that table reuses.
 """
 
 from __future__ import annotations
@@ -115,50 +115,44 @@ def _envelope_minima(a: np.ndarray, b: np.ndarray, omega: np.ndarray, last: np.n
     where x <= 0 is its value gap and y its slope gap; the smallest such
     angle is the next breakpoint.  A sinusoid tied with the active one and
     steeper takes over at once, and at a fixed angle every move raises the
-    active slope, so the sweep cannot cycle.  The first step reads the values
-    and slopes at theta = 0 from a and b themselves.  A row leaves the sweep
-    as soon as its top is column last_i: from there to omega its envelope is
-    one concave piece, whose minimum is at one end, the breakpoint just
-    recorded or omega, which is theta = 0 of the next row.  A row also leaves
-    when its next breakpoint is not below omega, as one whose top at theta = 0
-    is already f_{i+1} does at the first step.  Returns the minima and the
-    angles attaining them.
+    active slope, so the sweep cannot cycle.  Each step takes the gaps from
+    the values and slopes of all sinusoids at the current angle.  The angle
+    is clamped at omega, so a row whose next breakpoint is not below omega
+    reaches omega exactly, with a finite cosine and sine.  A row leaves the
+    sweep at the step that brings it to omega or makes column last_i its top:
+    from there to omega its envelope is one concave piece, whose minimum is at
+    one end, the breakpoint just recorded or omega, which is theta = 0 of the
+    next row.  Returns the minima and the angles attaining them.
     """
     low = a[:, 0].copy()
     low_at = np.zeros(a.shape[0])
     live = np.arange(a.shape[0])  # the original index of each row still sweeping
     theta = np.zeros(a.shape[0])
-    x = np.minimum(a - a[:, :1], 0.0)
-    y = b - b[:, :1]
+    f, g, k = a, b, np.zeros(a.shape[0], dtype=int)
     while True:
+        rows = np.arange(live.size)
+        x = np.minimum(f - f[rows, k][:, None], 0.0)
+        y = g - g[rows, k][:, None]
         step = np.arctan2(-x, y)
         # Tied but not steeper (the active one itself included): never overtakes.
         step[(x == 0.0) & (y <= 0.0)] = np.inf
         k = step.argmin(axis=1)
-        theta = theta + step.min(axis=1)
-        go = theta < omega
-        if not go.all():
-            if not go.any():
-                return low, low_at
-            live, a, b, omega, last, theta, k = (
-                v[go] for v in (live, a, b, omega, last, theta, k))
+        theta = np.minimum(theta + step.min(axis=1), omega)
+        inside = theta < omega
         c = np.cos(theta)[:, None]
         s = np.sin(theta)[:, None]
         f = a * c + b * s
         value = f.max(axis=1)
-        lower = value < low[live]
+        lower = inside & (value < low[live])
         low[live[lower]] = value[lower]
         low_at[live[lower]] = theta[lower]
-        go = k != last
+        go = inside & (k != last)
         if not go.all():
             if not go.any():
                 return low, low_at
             live, a, b, omega, last, theta, k, f, c, s = (
                 v[go] for v in (live, a, b, omega, last, theta, k, f, c, s))
-        rows = np.arange(live.size)
         g = b * c - a * s
-        x = np.minimum(f - f[rows, k][:, None], 0.0)
-        y = g - g[rows, k][:, None]
 
 
 def _oriented_support_values(V: ConvexPolygon, L: HLine) -> tuple[np.ndarray, int]:

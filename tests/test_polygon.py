@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hypwidth.corpus import nested_pair, random_convex_polygon
+from hypwidth.corpus import nested_pair, random_convex_polygon, random_nonequilateral_triangle
 from hypwidth.errors import GeometryError, NonConvex, TooFewVertices
 from hypwidth.extremal import indisk
 from hypwidth.hcore import (HPoint, chart_to_hyperboloid, dist_pp, hyperboloid_to_chart, mink,
@@ -182,12 +182,31 @@ class TestEquality:
         assert W == V
         assert hash(W) == hash(V)
 
+    def test_len_is_vertex_count(self):
+        assert len(regular_ngon(7, 1.0)) == regular_ngon(7, 1.0).n == 7
+
     def test_unequal(self):
         V = regular_ngon(5, 1.0)
         assert V != regular_ngon(5, 1.1)
         assert V != regular_ngon(7, 1.0)
         assert V != V.vertices
         assert len({V, regular_ngon(5, 1.0), regular_ngon(7, 1.0)}) == 2
+
+
+class TestCorpusDraws:
+    def test_polygon_draw_gives_up(self):
+        # Radii spread 500-fold: none of the 500 draws of 40 vertices is convex.
+        with pytest.raises(GeometryError) as exc:
+            random_convex_polygon(np.random.default_rng(0), 40, radius_range=(0.01, 5.0))
+        assert type(exc.value) is GeometryError
+        assert str(exc.value) == "could not draw a convex polygon (bad generator parameters)"
+
+    def test_triangle_draw_gives_up(self):
+        # Vertices within distance 1 of the origin: altitudes never differ by 10.
+        with pytest.raises(GeometryError) as exc:
+            random_nonequilateral_triangle(np.random.default_rng(0), min_altitude_spread=10.0)
+        assert type(exc.value) is GeometryError
+        assert str(exc.value) == "could not draw a non-equilateral triangle"
 
 
 class TestPerimeter:

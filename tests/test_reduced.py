@@ -487,6 +487,16 @@ class TestSolve:
         with pytest.raises(NoConvergence, match="after 0 iterations"):
             solve_ordinary_reduced(seed, 1.0, max_iterations=0)
 
+    @pytest.mark.parametrize("n,delta", [(5, 1.0), (7, 0.5), (5, 6.0)])
+    def test_line_search_stall_raises(self, n, delta):
+        # A zero residual tolerance asks for more than rounding allows, even
+        # from a seed already in the family: no step lowers the residual.
+        with pytest.raises(NoConvergence) as exc:
+            solve_ordinary_reduced(regular_ngon_with_thickness(n, delta), delta,
+                                   residual_tol=0.0)
+        assert type(exc.value) is NoConvergence
+        assert str(exc.value) == "backtracking line search stalled"
+
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_delta_rejected(self, delta):
         with pytest.raises(GeometryError, match="target distance must be positive and finite"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,15 @@ class TestEnvelopeSweep:
                 assert len(cols) == max(1, len(seen) - 1 + (seen[-1] != last[i]))
                 assert max(cols) <= last[i]
                 assert all(c < last[i] for c in cols[:-1])
+
+    def test_one_vertex_range_reaches_omega_without_a_warning(self):
+        # Column 0 is already the top at omega and its copies tie it, so every
+        # step is inf; the angle stops at omega, where cos and sin are finite.
+        a, b = np.full((1, 3), 2.0), np.full((1, 3), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, low_at = width._envelope_minima(a, b, np.array([1.0]), np.array([0]))
+        assert (low.tolist(), low_at.tolist()) == ([2.0], [0.0])
 
     def test_regular_odd_gons_take_one_step(self, families, monkeypatch):
         probe = SweepProbe()
