@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from .errors import GeometryError, NoConvergence, NonConvex
-from .hcore import chart_rows_to_hyperboloid, geodesic_point, polar_rows, signed_dist
+from .hcore import (chart_rows_to_hyperboloid, geodesic_point, polar_rows, rotation,
+                    signed_dist, to_sheet, translation_x)
 from .polygon import ConvexPolygon, polygon_from_rows, side_line
 
 
@@ -16,7 +17,8 @@ def random_convex_polygon(rng: np.random.Generator, n: int,
     """Random strictly convex n-gon around the chart origin.
 
     Vertices sit at well separated angles with mildly varying radii; a draw
-    that happens to be non-convex is simply retried.
+    that happens to be non-convex is simply retried.  The default radii fail
+    from about n = 12; ``jittered_circle_polygon`` is convex at any n.
     """
     for _ in range(500):
         gaps = rng.uniform(0.5, 1.0, size=n)
@@ -28,6 +30,20 @@ def random_convex_polygon(rng: np.random.Generator, n: int,
         except NonConvex:
             continue
     raise GeometryError("could not draw a convex polygon (bad generator parameters)")
+
+
+def jittered_circle_polygon(rng: np.random.Generator, n: int, R: float,
+                            shift: float) -> ConvexPolygon:
+    """n-gon inscribed in a circle of radius R, moved a distance shift off the origin.
+
+    Vertex k sits at angle 2*pi*k/n jittered by up to 0.35 of the spacing,
+    which keeps the angular order, so the polygon is convex at any n.
+    """
+    theta = 2.0 * math.pi / n * (np.arange(n) + 0.35 * rng.uniform(-1.0, 1.0, n))
+    pts = np.column_stack([math.sinh(R) * np.cos(theta), math.sinh(R) * np.sin(theta),
+                           np.full(n, math.cosh(R))])
+    M = rotation(rng.uniform(0.0, 2.0 * math.pi)) @ translation_x(shift)
+    return polygon_from_rows(to_sheet(pts @ M.T))
 
 
 def random_nonequilateral_triangle(rng: np.random.Generator,
@@ -64,8 +80,9 @@ def perturbed_polygon(V: ConvexPolygon, rng: np.random.Generator,
     Each vertex at distance rho from the chart origin moves to distance
     rho * (1 + radial * u) with u uniform in [-1, 1]; angular scales the
     angle jitter as a fraction of the mean angular spacing.  Retries with
-    shrinking magnitude until the result is convex, and raises NoConvergence
-    when no retry is.
+    shrinking magnitude while the result raises GeometryError (a lost
+    convexity or a vertex outside the coordinate domain), and raises
+    NoConvergence when no retry succeeds.
     """
     m = V.vertex_matrix
     rho = np.arcsinh(np.hypot(m[:, 0], m[:, 1]))
@@ -76,9 +93,9 @@ def perturbed_polygon(V: ConvexPolygon, rng: np.random.Generator,
         tt = theta + scale * angular * spacing * rng.uniform(-1.0, 1.0, size=V.n)
         try:
             return polygon_from_rows(polar_rows(rr, tt))
-        except NonConvex:
+        except GeometryError:
             continue
-    raise NoConvergence("perturbation kept breaking convexity")
+    raise NoConvergence("perturbation kept breaking convexity or leaving the coordinate domain")
 
 
 def clip_vertex_cap(V: ConvexPolygon, k: int, depth: float) -> ConvexPolygon:

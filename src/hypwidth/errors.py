@@ -45,11 +45,8 @@ class NoConvergence(NumericalError):
 
 
 class BracketFailure(NumericalError):
-    """No regular polygon of the asked thickness within the allowed size.
-
-    The closed-form circumradius is not below r_max, or the polygon is too
-    small to be strictly convex in floating point.
-    """
+    """No regular polygon of the asked thickness: it is too small to be
+    strictly convex in floating point."""
 
 
 class LeftFamily(NumericalError):

@@ -20,7 +20,9 @@ cosh(d) - 1 = B(q - p, q - p) / 2.  The coordinate domain is finite
 coordinates with x^2 + y^2 + t^2 below float64's maximum, that is, up to about
 distance 355 from the chart origin.  Beyond it that scale overflows, and
 ``HPoint``, ``HLine`` and ``unit_spacelike`` raise GeometryError (``off_sheet``
-flags the row).
+flags the row).  Inside it, kernels whose products would overflow divide by
+powers of two first, which is exact: ``to_sheet``, the side normals and the
+solver scale their rows by ``scale_rows``, and ``angle_from_sides`` its ratio.
 """
 
 from __future__ import annotations
@@ -212,17 +214,27 @@ class LineRelation:
     measure: float
 
 
+def scale_rows(v) -> tuple[np.ndarray, np.ndarray]:
+    """(..., 3) rows divided by 2**k, and k, a (..., 1) integer column.
+
+    k brings each row's largest |component| into [0.5, 1) (k = 0 for a zero,
+    infinite or NaN row).  That is exact, so a scale-free result, such as a
+    unit vector, comes out bit for bit as from the unscaled rows, while the
+    products of scaled rows neither overflow nor underflow to zero.
+    """
+    a = np.asarray(v, dtype=float)
+    k = np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1]
+    return np.ldexp(a, -k), k
+
+
 def to_sheet(v) -> np.ndarray:
     """Divide timelike (..., 3) rows by sign(t) sqrt(t^2 - x^2 - y^2), in that order.
 
     This puts every row on the upper sheet; raises if any row is not timelike.
-    Each row is first divided by the power of two that brings its largest
-    |component| into [0.5, 1).  That is exact, so it changes no bit of the
-    result, but the largest square can then neither overflow nor underflow
-    to zero.
+    The rows are scaled by ``scale_rows`` first, which changes no bit of the
+    result.
     """
-    a = np.asarray(v, dtype=float)
-    a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1])
+    a = scale_rows(v)[0]
     sq = a * a
     n = sq[..., 2] - sq[..., 0] - sq[..., 1]
     if not (n > 0.0).all():
@@ -339,16 +351,20 @@ def angle_from_sides(la, lc, lb):
 
     lb is the length of the third side, opposite the angle.  Uses the
     hyperbolic law of cosines for sides, rearranged through cosh(x) - 1
-    terms so that the angle stays accurate for very small triangles.  Arrays
+    terms so that the angle stays accurate for very small triangles.  Every
+    term of the ratio is divided by 2**(ka + kc), with sinh(la) / 2**ka and
+    sinh(lc) / 2**kc in [0.5, 1): exact, so no product overflows.  Arrays
     give one angle per entry, and raise if any la or lc is (nearly) zero.
     """
     if np.any(np.minimum(la, lc) < 1e-12):
         raise GeometryError("angle undefined for coincident points")
-    ha = _cosh_minus_one(la)
-    hc = _cosh_minus_one(lc)
-    hb = _cosh_minus_one(lb)
-    num = ha * hc + ha + hc - hb
-    den = np.sinh(la) * np.sinh(lc)
+    sa, ka = np.frexp(np.sinh(la))
+    sc, kc = np.frexp(np.sinh(lc))
+    ha = np.ldexp(_cosh_minus_one(la), -ka)
+    hc = np.ldexp(_cosh_minus_one(lc), -kc)
+    hb = np.ldexp(_cosh_minus_one(lb), -(ka + kc))
+    num = ha * hc + np.ldexp(ha, -kc) + np.ldexp(hc, -ka) - hb
+    den = sa * sc
     angle = np.arccos(np.clip(num / den, -1.0, 1.0))
     return float(angle) if np.ndim(angle) == 0 else angle
 

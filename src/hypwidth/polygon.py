@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import EvenGon, GeometryError, NonConvex, TooFewVertices
 from .hcore import (MINK_DIAG, HLine, HPoint, angle_from_sides, dist_pp, hyperboloid_to_chart,
-                    lines_from_normals, lorentz_cross, mink, off_sheet, to_sheet)
+                    lines_from_normals, lorentz_cross, mink, off_sheet, scale_rows,
+                    to_sheet)
 
 # Strict left-turn threshold on Klein-chart cross products.
 CONVEXITY_TOL = 1e-12
@@ -82,16 +83,8 @@ class ConvexPolygon:
 
     @cached_property
     def side_normals(self) -> np.ndarray:
-        """Unit normals of the side lines, oriented interior-positive.
-
-        A normal does not depend on the scale of the rows it is crossed from,
-        so each row is first divided by the power of two that brings its t
-        into [0.5, 1).  That is exact, so the normals are bit for bit those of
-        the unscaled rows, and their Lorentz norm, which squares the cross
-        product, stays finite across the whole coordinate domain.
-        """
+        """Unit normals of the side lines, oriented interior-positive."""
         m = self.vertex_matrix
-        m = np.ldexp(m, -np.frexp(m[:, 2:])[1])
         w = line_normals(m, np.concatenate((m[1:], m[:1])))[0]
         w.flags.writeable = False
         return w
@@ -193,17 +186,19 @@ def opposite_side(i: int, n: int) -> tuple[int, int]:
     return ((i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n)
 
 
-def line_normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit normals of the lines from row a_j to row b_j, and their scales.
+def line_normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Unit normals of the lines from row a_j to row b_j, their scales N, and
+    the hyperboloid rows a, b stacked and scaled by ``scale_rows``, with k.
 
-    The rows are hyperboloid points.  The normal is lorentz_cross(a, b) / N
-    with N its Lorentz norm, returned as a column.  It points to the interior
-    of a positively oriented cycle whose side runs from a to b, because
-    B(lorentz_cross(a, b), c) equals det(a, b, c).
+    The normal is lorentz_cross(a, b) / N with N its Lorentz norm, both from
+    the scaled rows, so N, a column, stays finite across the whole domain.
+    It points to the interior of a positively oriented cycle whose side runs
+    from a to b, because B(lorentz_cross(a, b), c) equals det(a, b, c).
     """
-    w = lorentz_cross(a, b)
+    ends, k = scale_rows((a, b))
+    w = lorentz_cross(*ends)
     N = np.sqrt(mink(w, w))[:, None]
-    return w / N, N
+    return w / N, N, ends, k
 
 
 def _turns(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

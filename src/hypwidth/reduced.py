@@ -155,8 +155,7 @@ def regular_apothem(n: int, R: float) -> float:
     return math.atanh(math.tanh(R) * math.cos(math.pi / n))
 
 
-def regular_ngon_with_thickness(n: int, delta: float,
-                                r_max: float = 50.0) -> ConvexPolygon:
+def regular_ngon_with_thickness(n: int, delta: float) -> ConvexPolygon:
     """Regular odd n-gon whose thickness equals delta.
 
     The thickness of a regular odd n-gon is the distance from a vertex to
@@ -166,8 +165,9 @@ def regular_ngon_with_thickness(n: int, delta: float,
     as the positive root u = exp(-2R) of (1+c) u^2 + (1-c)(1-w) u - (1+c) w
     with w = exp(-2 delta), which stays accurate where t rounds to 1.  Three
     Newton steps on the thickness then polish R to rounding level.  Raises
-    BracketFailure when R is not below r_max or the polygon is too small to
-    be strictly convex in floating point.
+    ``regular_ngon``'s GeometryError, naming R, when the vertex coordinates
+    overflow (from delta = 355.8 at n = 3), and BracketFailure when the
+    polygon is too small to be strictly convex in floating point.
     """
     if not (delta > 0.0) or not math.isfinite(delta):
         raise GeometryError(f"thickness must be positive and finite, got {delta}")
@@ -181,9 +181,6 @@ def regular_ngon_with_thickness(n: int, delta: float,
         tr = math.tanh(R)
         R -= ((R + regular_apothem(n, R) - delta)
               / (1.0 + c * (1.0 - tr * tr) / (1.0 - c * c * tr * tr)))
-    if not R < r_max:
-        raise BracketFailure(
-            f"thickness {delta} needs circumradius {R} outside (0, {r_max})")
     try:
         return regular_ngon(n, R)
     except NonConvex as exc:
@@ -236,12 +233,13 @@ def _residuals(x: np.ndarray, delta: float, frame: _Frame):
     is the distance from v_i to the line through the ends of its opposite
     side minus delta; the three gauge residuals of ``_Frame`` follow.  The
     second result holds the lifted vertices v, B(v_i, u_i) with u_i the unit
-    normal of the side opposite v_i, the normals u_i and their scales N (see
-    ``line_normals``).  asinh(B(v_i, u_i)) is the signed distance from v_i to
-    that side's line.
+    normal of the side opposite v_i, and what ``line_normals`` returns: the
+    normals u_i, their scales N, and the scaled ends of each side with their
+    exponents k.  asinh(B(v_i, u_i)) is the signed distance from v_i to that
+    side's line.
     """
     v = _lift(x)
-    u, N = line_normals(*v[frame.idx[1:]])
+    u, N, ends, k = line_normals(*v[frame.idx[1:]])
     f = mink(v, u)
     n = f.shape[0]
     e = v[1, :2] - v[0, :2]
@@ -250,7 +248,7 @@ def _residuals(x: np.ndarray, delta: float, frame: _Frame):
     r[:n] = np.abs(np.arcsinh(f)) - delta
     r[n:n + 2] = v[0, :2] - frame.gauge_anchor
     r[n + 2] = e[0] * g[1] - e[1] * g[0]
-    return r, (v, f, u, N)
+    return r, (v, f, u, N, ends, k)
 
 
 def _jacobian(lifted, frame: _Frame) -> np.ndarray:
@@ -260,16 +258,23 @@ def _jacobian(lifted, frame: _Frame) -> np.ndarray:
     with N the Lorentz norm of lorentz_cross(a, b).  On the hyperboloid
     N^2 = B(a, b)^2 - 1, so the gradients in v_i, a and b are cross products
     plus a multiple of J b or J a (J = diag(1, 1, -1)), chained into x, y
-    through dt/dx = x/t and dt/dy = y/t.
+    through dt/dx = x/t and dt/dy = y/t.  a and b enter scaled by 2**-k, as
+    ``line_normals`` scaled them, and their gradients are scaled back.
     """
-    v, f, u, N = lifted
+    v, f, u, N, ends, k = lifted
     p = v[frame.idx]  # v_i, a_i and b_i
-    c = (f * mink(p[1], p[2]))[:, None] / N ** 2
+    q = np.concatenate((p[:1], ends))
+    c = (f * mink(*ends))[:, None] / N ** 2
     # lorentz_cross(p, q) * J is the Euclidean cross product of p and q.
-    # Gradients of B(v_i, u_i) in v_i, a_i and b_i.
-    g = np.concatenate([u[None], lorentz_cross(p[::-2], p[:2]) / N
-                        - c * p[:0:-1]]) * MINK_DIAG  # (b, a) x (v, a), minus c (b, a)
-    scale = (np.sign(f) / np.sqrt(1.0 + f * f))[:, None]  # d|asinh f| / df
+    # Gradients of B(v_i, u_i) in a_i and b_i, (b, a) x (v, a) minus c (b, a),
+    # scaled back by 2**-k; then those in v_i, a_i and b_i.
+    ab = np.ldexp(lorentz_cross(q[::-2], q[:2]) / N - c * q[:0:-1], -k)
+    g = np.concatenate([u[None], ab]) * MINK_DIAG
+    # d|asinh f| / df = sign(f) / sqrt(1 + f*f).  From |f| = 2**27 on, 1 + f*f
+    # rounds to f*f, whose root is |f|, so capping f there changes no bit.
+    af = np.abs(f)
+    capped = np.minimum(af, 2.0 ** 27)
+    scale = (np.sign(f) / np.maximum(np.sqrt(1.0 + capped * capped), af))[:, None]
     J = frame.J0.copy()
     J.reshape(-1)[frame.pos] = scale * (g[..., :2] + g[..., 2:] * p[..., :2] / p[..., 2:])
     return J

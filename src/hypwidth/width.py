@@ -100,7 +100,7 @@ def _pencil_peaks(p: np.ndarray, q: np.ndarray, cos_w, sin_w) -> np.ndarray:
     Otherwise the extremum is at an end.  The omega end of pencil i is the
     0 end of pencil i + 1, so a maximum over all pencils needs only |p| there.
     """
-    inside = q * (q * cos_w - p * sin_w) <= 0.0
+    inside = np.sign(q) * (q * cos_w - p * sin_w) <= 0.0
     return np.where(inside, np.hypot(p, q), np.abs(p))
 
 

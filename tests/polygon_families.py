@@ -1,15 +1,15 @@
 """Seeded polygon families for the hard-case tests (no test cases here).
 
-Both generators are convex by construction at any size: a Klein-chart hull
-is a hyperbolic hull, and distinct points of a circle in angular order are
-in strictly convex position.
+The squashed hulls are convex by construction at any size, as a Klein-chart
+hull is a hyperbolic hull; so are ``corpus.jittered_circle_polygon``'s
+circles, whose points in angular order are in strictly convex position.
 """
 
 import math
 
 import numpy as np
 
-from hypwidth.corpus import random_convex_polygon
+from hypwidth.corpus import jittered_circle_polygon, random_convex_polygon
 from hypwidth.extremal import rhombus
 from hypwidth.hcore import HPoint, chart_to_hyperboloid, rotation, to_sheet, translation_x
 from hypwidth.polygon import ConvexPolygon, make_polygon
@@ -51,20 +51,6 @@ def squashed_hull(rng: np.random.Generator, points: int = 40) -> ConvexPolygon:
     theta = rng.uniform(0.0, 2.0 * math.pi, points)
     k = np.column_stack([r * np.cos(theta), squash * r * np.sin(theta)])
     return make_polygon([chart_to_hyperboloid(x, y, "klein") for x, y in _klein_hull(k)])
-
-
-def jittered_circle_polygon(rng: np.random.Generator, n: int, R: float,
-                            shift: float) -> ConvexPolygon:
-    """n-gon inscribed in a circle of radius R, moved a distance shift off the origin.
-
-    Vertex k sits at angle 2*pi*k/n jittered by up to 0.35 of the spacing,
-    which keeps the angular order.
-    """
-    theta = 2.0 * math.pi / n * (np.arange(n) + 0.35 * rng.uniform(-1.0, 1.0, n))
-    pts = np.column_stack([math.sinh(R) * np.cos(theta), math.sinh(R) * np.sin(theta),
-                           np.full(n, math.cosh(R))])
-    pts = to_sheet(pts @ (rotation(rng.uniform(0.0, 2.0 * math.pi)) @ translation_x(shift)).T)
-    return make_polygon(HPoint.from_vec(p) for p in pts)
 
 
 def moved(V, rng, max_shift):

@@ -12,10 +12,11 @@ before each pencil was restricted to its own column range: it runs every
 pencil over all n sinusoids, so the restricted sweep must reproduce it bit
 for bit.  The all-sides collapse sweep is the library's inscribed-disk sweep
 before each event was scored from its three defining sides: it scores every
-event against all n sides.  The unscaled side normals, sheet step and
-angle-defect area are the library's formulas before their rows were rescaled
-by powers of two and before the area read the side lengths once: inside the
-old domain the library must reproduce them bit for bit.
+event against all n sides.  The unscaled side normals, sheet step, law of
+cosines, solver residuals and solver Jacobian, and the angle-defect area, are
+the library's formulas before their rows or ratios were rescaled by powers of
+two and before the area read the side lengths once: inside the old domain
+the library must reproduce them bit for bit.
 """
 
 import heapq
@@ -23,19 +24,70 @@ import math
 
 import numpy as np
 
-from hypwidth.hcore import (HLine, angle_at, dist_pp, foot, mink, signed_dist, unit_spacelike,
-                            unit_timelike)
-from hypwidth.polygon import ConvexPolygon, line_normals, side_line
+from hypwidth.hcore import (HLine, angle_at, dist_pp, foot, lorentz_cross, mink, signed_dist,
+                            unit_spacelike, unit_timelike)
+from hypwidth.polygon import ConvexPolygon, side_line
+from hypwidth.reduced import _lift
 from hypwidth.width import width_line
 
 _J = np.array([1.0, 1.0, -1.0])
 
 
+def unscaled_line_normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals lorentz_cross(a, b) / N and their Lorentz norms N, from the
+    rows as they are; N overflows float64 from about distance 178 from the
+    chart origin."""
+    w = lorentz_cross(a, b)
+    N = np.sqrt(mink(w, w))[:, None]
+    return w / N, N
+
+
 def unscaled_side_normals(V: ConvexPolygon) -> np.ndarray:
-    """Side normals crossed from the vertex rows as they are; the Lorentz norm
-    overflows float64 from about distance 178 from the chart origin."""
+    """Side normals crossed from the vertex rows as they are."""
     m = V.vertex_matrix
-    return line_normals(m, np.roll(m, -1, axis=0))[0]
+    return unscaled_line_normals(m, np.roll(m, -1, axis=0))[0]
+
+
+def unscaled_angle_from_sides(la, lc, lb):
+    """The law of cosines through cosh(x) - 1 terms with nothing rescaled; its
+    products overflow once la + lc passes about 710."""
+    def cosh_minus_one(d):
+        s = np.sinh(0.5 * d)
+        return 2.0 * s * s
+    ha, hc, hb = cosh_minus_one(la), cosh_minus_one(lc), cosh_minus_one(lb)
+    num = ha * hc + ha + hc - hb
+    den = np.sinh(la) * np.sinh(lc)
+    return np.arccos(np.clip(num / den, -1.0, 1.0))
+
+
+def unscaled_residuals(x: np.ndarray, delta: float, frame):
+    """The solver's residuals and the values its Jacobian reuses, with the side
+    normals and their norms N from the unscaled lifted rows."""
+    v = _lift(x)
+    u, N = unscaled_line_normals(*v[frame.idx[1:]])
+    f = mink(v, u)
+    n = f.shape[0]
+    e = v[1, :2] - v[0, :2]
+    g = frame.gauge_dir
+    r = np.empty(n + 3)
+    r[:n] = np.abs(np.arcsinh(f)) - delta
+    r[n:n + 2] = v[0, :2] - frame.gauge_anchor
+    r[n + 2] = e[0] * g[1] - e[1] * g[0]
+    return r, (v, f, u, N)
+
+
+def unscaled_jacobian(lifted, frame) -> np.ndarray:
+    """The solver's exact Jacobian from ``unscaled_residuals``' values, with the
+    ends of each opposite side as they are; N ** 2 and f * f overflow in the
+    far field."""
+    v, f, u, N = lifted
+    p = v[frame.idx]
+    c = (f * mink(p[1], p[2]))[:, None] / N ** 2
+    g = np.concatenate([u[None], lorentz_cross(p[::-2], p[:2]) / N - c * p[:0:-1]]) * _J
+    scale = (np.sign(f) / np.sqrt(1.0 + f * f))[:, None]
+    J = frame.J0.copy()
+    J.reshape(-1)[frame.pos] = scale * (g[..., :2] + g[..., 2:] * p[..., :2] / p[..., 2:])
+    return J
 
 
 def unscaled_to_sheet(v: np.ndarray) -> np.ndarray:

@@ -178,8 +178,14 @@ class TestExitCodes:
         assert out == ""
 
     def test_bracket_failure_is_3(self, capsys):
-        code, _ = run(capsys, "regular", "--n", "3", "--thickness", "60")
+        code, _ = run(capsys, "regular", "--n", "3", "--thickness", "1e-7")
         assert code == 3
+
+    def test_thickness_beyond_domain_is_2(self, capsys, caplog):
+        code, out = run(capsys, "regular", "--n", "3", "--thickness", "400")
+        assert code == 2
+        assert out == ""
+        assert "circumradius 399.45" in caplog.text
 
     @pytest.mark.parametrize("R", ["400", "800"])
     def test_overflowing_circumradius_is_2(self, capsys, caplog, R):

@@ -1,10 +1,11 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hypwidth.corpus import perturbed_polygon, random_convex_polygon
+from hypwidth.corpus import jittered_circle_polygon, perturbed_polygon, random_convex_polygon
 from hypwidth.errors import EvenGon, GeometryError, NumericalError
 from hypwidth.extremal import ScanRow, circumdisk, indisk, ratio_scan, rhombus
 from hypwidth.hcore import (HPoint, apply_isometry, dist_pp, random_isometry,
@@ -13,7 +14,7 @@ from hypwidth.polygon import make_polygon, side_line
 from hypwidth.reduced import (check_ordinary_reduced, regular_apothem, regular_ngon,
                               regular_ngon_with_thickness, solve_ordinary_reduced)
 from hypwidth.width import diameter, thickness
-from polygon_families import hard_families, jittered_circle_polygon
+from polygon_families import hard_families
 from test_acceptance_oracles import all_sides_indisk, oracle_circumdisk, oracle_indisk
 
 
@@ -221,6 +222,18 @@ class TestRatioScan:
             assert r.inradius <= r.delta + 1e-9 <= r.diameter + 1e-9
             assert r.delta == pytest.approx(1.0, abs=1e-9)
 
+    def test_far_grid_runs_clean(self):
+        # Regular cells out to the domain edge, and seeds whose jitter crosses it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = ratio_scan([3, 5, 7, 31], [60, 100, 200, 300, 350], perturbations=2)
+        regular = [r for r in rows if r.polygon_id.startswith("regular")]
+        assert len(regular) == 20
+        for r in rows:
+            assert 1.0 < r.ratio < 2.0
+            assert math.isfinite(r.area) and r.area > 0.0
+        assert [r.delta for r in regular] == pytest.approx([60, 100, 200, 300, 350] * 4, rel=1e-9)
+
     def test_failures_skipped_not_raised(self, monkeypatch, caplog):
         import hypwidth.extremal as ex
         from hypwidth.errors import NoConvergence
@@ -242,4 +255,5 @@ class TestRatioScan:
             rows = ratio_scan([81], [1.0], perturbations=1)
         assert [r.polygon_id for r in rows] == ["regular-n81-d1"]
         assert [rec.message for rec in caplog.records if "skipping" in rec.message] == [
-            "skipping perturbed-n81-d1-00: perturbation kept breaking convexity"]
+            "skipping perturbed-n81-d1-00: perturbation kept breaking convexity or leaving "
+            "the coordinate domain"]

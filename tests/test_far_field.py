@@ -1,15 +1,17 @@
 """Far-field faults on centred regular polygons (ROADMAP item 2).
 
-Each test asserts the correct answer and is a strict xfail: the library gets
-it wrong today, and a fix makes the test pass, which fails the run until its
-marker is removed.  Most faults are rounding, whose cancellation grows like
-eps * cosh^3 of the distance from the chart origin; the three that expect a
-RuntimeWarning are intermediate quantities that overflow inside the
-coordinate domain, a warning the test configuration turns into an error.
+Each repro asserts the correct answer and is a strict xfail: the library
+gets it wrong today, and a fix makes the test pass, which fails the run
+until its marker is removed.  The faults are rounding, whose cancellation
+grows like eps * cosh^3 of the distance from the chart origin.  The last
+three repros overflowed inside the coordinate domain until their kernels
+rescaled by powers of two; the one plain test at the end checks that they
+now return finite values without a warning.
 """
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -81,24 +83,35 @@ def regular_angle(n, R):
     return 2.0 * math.atan(1.0 / (math.cosh(R) * math.tan(math.pi / n)))
 
 
-# Two adjacent sides of these pentagons sum to about 798; the law of cosines in
-# angle_from_sides overflows past about 710 and, without the warning, gives NaN.
-@far_field(RuntimeWarning)
+# The law of cosines takes the arccos of a ratio that rounds next to 1, so
+# an angle this small is lost: it reads 2.1e-8 against 7.6e-87.
+@far_field(AssertionError)
 def test_area_of_large_pentagon():
     assert area(regular_ngon(5, 200.0)) == pytest.approx(
         3.0 * math.pi - 5.0 * regular_angle(5, 200.0), rel=1e-12)
 
 
-@far_field(RuntimeWarning)
+@far_field(AssertionError)
 def test_angle_at_vertex_of_large_pentagon():
     V = regular_ngon(5, 200.0)
     assert angle_at(V.vertex(4), V.vertex(0), V.vertex(1)) == pytest.approx(
         regular_angle(5, 200.0), rel=1e-9)
 
 
-@far_field(RuntimeWarning)
+@far_field(AssertionError)
 def test_diameter_via_width_of_large_triangle():
-    # The pencil peaks overflow; without the warning the answer is 377.2
-    # against a diameter of 679.7.
+    # The pencil frames cancel (ROADMAP item 2): the answer is 377.2 against a
+    # diameter of 679.7.
     V = regular_ngon(3, 340.0)
     assert diameter_via_width(V) == pytest.approx(diameter(V)[0], rel=1e-12)
+
+
+def test_large_polygons_give_finite_values_without_warning():
+    # The three calls above overflowed here before their kernels rescaled.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        V = regular_ngon(5, 200.0)
+        # Five angles of 2.1e-8 each, from the arccos, short the area by 1.1e-7.
+        assert area(V) == pytest.approx(3.0 * math.pi, abs=1e-6)
+        assert 0.0 <= angle_at(V.vertex(4), V.vertex(0), V.vertex(1)) < 1e-7
+        assert math.isfinite(diameter_via_width(regular_ngon(3, 340.0)))

@@ -8,14 +8,15 @@ import pytest
 from hypwidth.corpus import nested_pair, random_convex_polygon, random_nonequilateral_triangle
 from hypwidth.errors import GeometryError, NonConvex, TooFewVertices
 from hypwidth.extremal import indisk
-from hypwidth.hcore import (HPoint, chart_to_hyperboloid, dist_pp, hyperboloid_to_chart, mink,
-                            signed_dist, to_sheet)
+from hypwidth.hcore import (HPoint, angle_from_sides, chart_to_hyperboloid, dist_pp,
+                            hyperboloid_to_chart, mink, signed_dist, to_sheet)
 from hypwidth.polygon import (area, contains, make_polygon, perimeter,
                               polygon_from_rows, side_line)
 from hypwidth.reduced import check_ordinary_reduced, regular_apothem, regular_ngon
 from hypwidth.width import thickness
 from polygon_families import hard_families
-from test_acceptance_oracles import angle_defect_area, unscaled_side_normals, unscaled_to_sheet
+from test_acceptance_oracles import (angle_defect_area, unscaled_angle_from_sides,
+                                     unscaled_side_normals, unscaled_to_sheet)
 
 
 def contains_origin(V):
@@ -167,6 +168,15 @@ class TestUnscaledReference:
             for w in (m * 3.7, m * -0.01, m - mink(m, u)[:, None] * u):
                 assert to_sheet(w).tobytes() == unscaled_to_sheet(w).tobytes()
             assert area(V) == angle_defect_area(V)
+
+    def test_law_of_cosines_bit_identical(self):
+        # Sides from 1e-10 to 300, where the unscaled products stay finite.
+        rng = np.random.default_rng(8)
+        la, lc = 10.0 ** rng.uniform(-10.0, math.log10(300.0), (2, 20000))
+        gap = np.abs(la - lc)
+        lb = gap + rng.uniform(0.0, 1.0, 20000) * (la + lc - gap)
+        assert angle_from_sides(la, lc, lb).tobytes() == \
+            unscaled_angle_from_sides(la, lc, lb).tobytes()
 
 
 class TestEquality:

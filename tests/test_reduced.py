@@ -1,12 +1,14 @@
 import math
 import re
+import warnings
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 from hypwidth import polygon, reduced
-from hypwidth.corpus import perturbed_polygon, random_nonequilateral_triangle
+from hypwidth.corpus import (jittered_circle_polygon, perturbed_polygon,
+                             random_nonequilateral_triangle)
 from hypwidth.errors import (BracketFailure, EvenGon, GeometryError,
                              LeftFamily, NoConvergence, NotOrdinaryReduced,
                              NumericalError)
@@ -21,9 +23,8 @@ from hypwidth.reduced import (_frame, _jacobian, _min_norm_step, _residuals,
                               regular_ngon_with_thickness,
                               solve_ordinary_reduced)
 from hypwidth.width import ThicknessReport, diameter, thickness
-from polygon_families import jittered_circle_polygon
-from test_acceptance_oracles import (oracle_check_ordinary_reduced,
-                                     oracle_perimeter_halving)
+from test_acceptance_oracles import (oracle_check_ordinary_reduced, oracle_perimeter_halving,
+                                     unscaled_jacobian, unscaled_residuals)
 
 
 # check_ordinary_reduced(...).records of two triangles, as the per-vertex
@@ -272,10 +273,29 @@ class TestRegularNgonWithThickness:
         assert abs(ratio9 - 1.0) < abs(ratio3 - 1.0)
 
     def test_bracket_failure(self):
-        # too large for r_max, and too small to be strictly convex in floating point
-        for delta in (60.0, 1e-7):
-            with pytest.raises(BracketFailure):
-                regular_ngon_with_thickness(3, delta)
+        # too small to be strictly convex in floating point
+        with pytest.raises(BracketFailure):
+            regular_ngon_with_thickness(3, 1e-7)
+
+    @pytest.mark.parametrize("n", [3, 5, 31])
+    def test_far_thickness(self, n):
+        for delta in (60.0, 100.0, 200.0, 300.0, 350.0):
+            V = regular_ngon_with_thickness(n, delta)
+            assert thickness(V).thickness == pytest.approx(delta, rel=1e-9)
+
+    def test_beyond_domain_names_circumradius(self):
+        # Thickness 400 needs R = 399.45 for a triangle, past the domain's 355.
+        with pytest.raises(GeometryError) as exc:
+            regular_ngon_with_thickness(3, 400.0)
+        assert type(exc.value) is GeometryError
+        assert str(exc.value).startswith("circumradius 399.45")
+        # Near the edge each delta either builds the polygon or names R.
+        for delta in np.linspace(354.0, 360.0, 61).tolist():
+            try:
+                assert thickness(regular_ngon_with_thickness(5, delta)).thickness == \
+                    pytest.approx(delta, rel=1e-9)
+            except GeometryError as exc:
+                assert type(exc) is GeometryError and "is too large" in str(exc)
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_thickness_rejected(self, delta):
@@ -350,6 +370,35 @@ class TestSolve:
                 fd[:, k] = (_residuals(x + step, delta, frame)[0]
                             - _residuals(x - step, delta, frame)[0]) / (2.0 * h)
             assert np.max(np.abs(J - fd)) <= 1e-6, (V.n, delta)
+
+    def test_residuals_and_jacobian_match_unscaled(self):
+        # Inside the old domain the scaled rows change no bit of either.
+        for n in (3, 5, 7, 9, 15, 31):
+            for delta in (0.01, 0.1, 1.0, 3.0, 6.0, 10.0):
+                reg = regular_ngon_with_thickness(n, delta)
+                rng = np.random.default_rng(100 * n + int(10 * delta))
+                for _ in range(10):
+                    x = perturbed_polygon(reg, rng).vertex_matrix[:, :2].reshape(-1).copy()
+                    d0 = x[2:4] - x[:2]
+                    frame = _frame(n, x[:2].copy(), d0 / np.hypot(d0[0], d0[1]))
+                    r, lifted = _residuals(x, delta, frame)
+                    ref, ref_lifted = unscaled_residuals(x, delta, frame)
+                    assert r.tobytes() == ref.tobytes()
+                    for a, b in zip(lifted[:3], ref_lifted[:3]):
+                        assert a.tobytes() == b.tobytes()
+                    J = _jacobian(lifted, frame)
+                    assert J.tobytes() == unscaled_jacobian(ref_lifted, frame).tobytes()
+
+    @pytest.mark.parametrize("R", [180.0, 200.0, 250.0, 300.0, 350.0])
+    def test_far_regular_seed_solves_or_raises(self, R):
+        # Unscaled, the side normals' Lorentz norm overflowed from R = 178.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                S = solve_ordinary_reduced(regular_ngon(5, R), R + regular_apothem(5, R))
+            except NumericalError:
+                return
+            assert check_ordinary_reduced(S).verdict
 
     def test_min_norm_step_matches_lstsq(self):
         rng = np.random.default_rng(4)
@@ -558,6 +607,15 @@ class TestSolve:
 
 
 class TestPerturbedPolygon:
+    @pytest.mark.parametrize("n", [5, 31])
+    def test_draws_past_the_domain_edge_are_retried(self, n):
+        # Scale 1 jitters some vertex of these polygons past distance 355.
+        R = 349.0
+        for k in range(10):
+            seed = perturbed_polygon(regular_ngon(n, R), np.random.default_rng(k))
+            assert seed.n == n
+            assert np.arccosh(seed.vertex_matrix[:, 2]).max() <= 1.03 * R
+
     def test_delta_six_vertices_stay_near_circumradius(self):
         radial = 0.03
         rng = np.random.default_rng(0)
