@@ -20,9 +20,10 @@ cosh(d) - 1 = B(q - p, q - p) / 2.  The coordinate domain is finite
 coordinates with x^2 + y^2 + t^2 below float64's maximum, that is, up to about
 distance 355 from the chart origin.  Beyond it that scale overflows, and
 ``HPoint``, ``HLine`` and ``unit_spacelike`` raise GeometryError (``off_sheet``
-flags the row).  Inside it, kernels whose products would overflow divide by
-powers of two first, which is exact: ``to_sheet``, the side normals and the
-solver scale their rows by ``scale_rows``, and ``angle_from_sides`` its ratio.
+flags the row).  Inside it, only rows are rescaled: ``to_sheet``, the side
+normals and the solver divide their rows by powers of two (``scale_rows``),
+which is exact and keeps their products finite.  ``angle_from_sides`` needs
+no rescaling, as its terms are bounded.
 """
 
 from __future__ import annotations
@@ -332,11 +333,6 @@ def line_relation(L1: HLine, L2: HLine) -> LineRelation:
     return LineRelation(ASYMPTOTIC, 0.0)
 
 
-def _cosh_minus_one(d):
-    s = np.sinh(0.5 * d)
-    return 2.0 * s * s
-
-
 def angle_at(a, b, c):
     """Interior angle at b of the geodesic triangle a, b, c.
 
@@ -350,22 +346,19 @@ def angle_from_sides(la, lc, lb):
     """Angle between the sides of lengths la and lc of a geodesic triangle.
 
     lb is the length of the third side, opposite the angle.  Uses the
-    hyperbolic law of cosines for sides, rearranged through cosh(x) - 1
-    terms so that the angle stays accurate for very small triangles.  Every
-    term of the ratio is divided by 2**(ka + kc), with sinh(la) / 2**ka and
-    sinh(lc) / 2**kc in [0.5, 1): exact, so no product overflows.  Arrays
-    give one angle per entry, and raise if any la or lc is (nearly) zero.
+    half-angle formula tan^2(angle / 2) = sinh(s - la) sinh(s - lc) /
+    (sinh(s) sinh(s - lb)), s the half perimeter, with each sinh(x) written
+    as e^x E(x) / 2, E(x) = -expm1(-2x) in [0, 1), and the exponentials
+    cancelled to e^-(s - lb).  Every term is bounded, so nothing overflows,
+    and small angles and needle-like triangles keep their accuracy (Kahan
+    2014).  Half-differences below 0 count as 0.  Arrays give one angle per
+    entry, and raise if any la or lc is (nearly) zero.
     """
     if np.any(np.minimum(la, lc) < 1e-12):
         raise GeometryError("angle undefined for coincident points")
-    sa, ka = np.frexp(np.sinh(la))
-    sc, kc = np.frexp(np.sinh(lc))
-    ha = np.ldexp(_cosh_minus_one(la), -ka)
-    hc = np.ldexp(_cosh_minus_one(lc), -kc)
-    hb = np.ldexp(_cosh_minus_one(lb), -(ka + kc))
-    num = ha * hc + np.ldexp(ha, -kc) + np.ldexp(hc, -ka) - hb
-    den = sa * sc
-    angle = np.arccos(np.clip(num / den, -1.0, 1.0))
+    s = 0.5 * (la + lb + lc)
+    ea, ec, eb, es = (-np.expm1(-2.0 * np.maximum(x, 0.0)) for x in (s - la, s - lc, s - lb, s))
+    angle = 2.0 * np.arctan2(np.sqrt(ea * ec / es) * np.exp(lb - s), np.sqrt(eb))
     return float(angle) if np.ndim(angle) == 0 else angle
 
 

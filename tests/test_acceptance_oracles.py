@@ -12,11 +12,13 @@ before each pencil was restricted to its own column range: it runs every
 pencil over all n sinusoids, so the restricted sweep must reproduce it bit
 for bit.  The all-sides collapse sweep is the library's inscribed-disk sweep
 before each event was scored from its three defining sides: it scores every
-event against all n sides.  The unscaled side normals, sheet step, law of
-cosines, solver residuals and solver Jacobian, and the angle-defect area, are
-the library's formulas before their rows or ratios were rescaled by powers of
-two and before the area read the side lengths once: inside the old domain
-the library must reproduce them bit for bit.
+event against all n sides.  The unscaled side normals, sheet step, solver
+residuals and solver Jacobian, and the angle-defect area, are the library's
+formulas before their rows were rescaled by powers of two and before the
+area read the side lengths once: inside the old domain the library must
+reproduce them bit for bit.  Angles have two references: the half-angle
+formula at 50 digits with its conditioning, for any triangle, and the closed
+form of a regular polygon's vertex angle.
 """
 
 import heapq
@@ -48,16 +50,39 @@ def unscaled_side_normals(V: ConvexPolygon) -> np.ndarray:
     return unscaled_line_normals(m, np.roll(m, -1, axis=0))[0]
 
 
-def unscaled_angle_from_sides(la, lc, lb):
-    """The law of cosines through cosh(x) - 1 terms with nothing rescaled; its
-    products overflow once la + lc passes about 710."""
-    def cosh_minus_one(d):
-        s = np.sinh(0.5 * d)
-        return 2.0 * s * s
-    ha, hc, hb = cosh_minus_one(la), cosh_minus_one(lc), cosh_minus_one(lb)
-    num = ha * hc + ha + hc - hb
-    den = np.sinh(la) * np.sinh(lc)
-    return np.arccos(np.clip(num / den, -1.0, 1.0))
+def mp_angle_from_sides(la, lc, lb) -> tuple[float, float]:
+    """The angle between sides la and lc, and its conditioning, at 50 digits.
+
+    The angle is the half-angle formula tan^2(angle / 2) = sinh(s - la)
+    sinh(s - lc) / (sinh(s) sinh(s - lb)), s the half perimeter, with the float
+    sides read exactly and half-differences below 0 counted as 0.  The
+    conditioning is sum |d angle / d l| l over the three sides, by central
+    differences: eps times it is the first-order change of the angle when each
+    side moves by eps relative, the rounding the sides themselves carry.
+    """
+    import mpmath
+
+    def angle(a, c, b):
+        s = (a + b + c) / 2
+        sh = [mpmath.sinh(max(x, 0)) for x in (s - a, s - c, s, s - b)]
+        return 2 * mpmath.atan2(mpmath.sqrt(sh[0] * sh[1]), mpmath.sqrt(sh[2] * sh[3]))
+
+    with mpmath.workdps(50):
+        sides = [mpmath.mpf(float(x)) for x in (la, lc, lb)]
+        cond = 0
+        for k, side in enumerate(sides):
+            h = side * mpmath.mpf(10) ** -20
+            up, down = list(sides), list(sides)
+            up[k] += h
+            down[k] -= h
+            cond += abs(angle(*up) - angle(*down)) / 2 * side / h
+        return float(angle(*sides)), float(cond)
+
+
+def regular_angle(n, R):
+    """Interior angle of the regular n-gon of circumradius R: its right triangle
+    at a vertex has cot(angle / 2) = cosh(R) tan(pi / n)."""
+    return 2.0 * math.atan(1.0 / (math.cosh(R) * math.tan(math.pi / n)))
 
 
 def unscaled_residuals(x: np.ndarray, delta: float, frame):
@@ -78,13 +103,13 @@ def unscaled_residuals(x: np.ndarray, delta: float, frame):
 
 def unscaled_jacobian(lifted, frame) -> np.ndarray:
     """The solver's exact Jacobian from ``unscaled_residuals``' values, with the
-    ends of each opposite side as they are; N ** 2 and f * f overflow in the
-    far field."""
+    ends of each opposite side as they are; N ** 2 overflows in the far
+    field."""
     v, f, u, N = lifted
     p = v[frame.idx]
     c = (f * mink(p[1], p[2]))[:, None] / N ** 2
     g = np.concatenate([u[None], lorentz_cross(p[::-2], p[:2]) / N - c * p[:0:-1]]) * _J
-    scale = (np.sign(f) / np.sqrt(1.0 + f * f))[:, None]
+    scale = (np.sign(f) / np.hypot(1.0, f))[:, None]
     J = frame.J0.copy()
     J.reshape(-1)[frame.pos] = scale * (g[..., :2] + g[..., 2:] * p[..., :2] / p[..., 2:])
     return J

@@ -3,10 +3,11 @@
 Each repro asserts the correct answer and is a strict xfail: the library
 gets it wrong today, and a fix makes the test pass, which fails the run
 until its marker is removed.  The faults are rounding, whose cancellation
-grows like eps * cosh^3 of the distance from the chart origin.  The last
-three repros overflowed inside the coordinate domain until their kernels
-rescaled by powers of two; the one plain test at the end checks that they
-now return finite values without a warning.
+grows like eps * cosh^3 of the distance from the chart origin.  The area
+and vertex angle of a large pentagon are plain tests: its vertex angle is
+7.6e-87, and ``angle_from_sides`` must keep it to full relative accuracy.
+The last test checks that three far calls, which once overflowed inside the
+coordinate domain, return finite values without a warning.
 """
 
 import json
@@ -21,6 +22,7 @@ from hypwidth.hcore import angle_at
 from hypwidth.polygon import area, side_line
 from hypwidth.reduced import perimeter_halving, regular_apothem, regular_ngon
 from hypwidth.width import diameter, diameter_via_width, width_line
+from test_acceptance_oracles import regular_angle
 
 
 def far_field(raises):
@@ -77,21 +79,11 @@ def test_verify_halving_passes(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["results"][0]["passed"] is True
 
 
-def regular_angle(n, R):
-    """Interior angle of the regular n-gon of circumradius R: its right triangle
-    at a vertex has cot(angle / 2) = cosh(R) tan(pi / n)."""
-    return 2.0 * math.atan(1.0 / (math.cosh(R) * math.tan(math.pi / n)))
-
-
-# The law of cosines takes the arccos of a ratio that rounds next to 1, so
-# an angle this small is lost: it reads 2.1e-8 against 7.6e-87.
-@far_field(AssertionError)
 def test_area_of_large_pentagon():
     assert area(regular_ngon(5, 200.0)) == pytest.approx(
         3.0 * math.pi - 5.0 * regular_angle(5, 200.0), rel=1e-12)
 
 
-@far_field(AssertionError)
 def test_angle_at_vertex_of_large_pentagon():
     V = regular_ngon(5, 200.0)
     assert angle_at(V.vertex(4), V.vertex(0), V.vertex(1)) == pytest.approx(
@@ -107,11 +99,10 @@ def test_diameter_via_width_of_large_triangle():
 
 
 def test_large_polygons_give_finite_values_without_warning():
-    # The three calls above overflowed here before their kernels rescaled.
+    # Each of these calls overflowed here at one time.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         V = regular_ngon(5, 200.0)
-        # Five angles of 2.1e-8 each, from the arccos, short the area by 1.1e-7.
         assert area(V) == pytest.approx(3.0 * math.pi, abs=1e-6)
         assert 0.0 <= angle_at(V.vertex(4), V.vertex(0), V.vertex(1)) < 1e-7
         assert math.isfinite(diameter_via_width(regular_ngon(3, 340.0)))

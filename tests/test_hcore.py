@@ -16,6 +16,7 @@ from hypwidth.hcore import (ASYMPTOTIC, COINCIDENT, HLine, HPoint,
                             lorentz_cross, mink, off_sheet, polar_point, random_isometry,
                             rotation, signed_dist, to_sheet, translation_x,
                             unit_spacelike, unit_timelike)
+from test_acceptance_oracles import mp_angle_from_sides
 
 ORIGIN = HPoint(0.0, 0.0, 1.0)
 X1 = HPoint(math.sinh(1.0), 0.0, math.cosh(1.0))
@@ -421,6 +422,32 @@ class TestAngleAt:
             want = angle_at(a, b, c)
             got = angle_from_sides(dist_pp(b, a), dist_pp(b, c), dist_pp(a, c))
             assert got.hex() == want.hex()
+
+    def test_from_sides_within_two_conditioning_units_of_mpmath(self):
+        # Sides from 1e-10 to 300; the error is in units of eps * sum
+        # |d angle / d l| l, the change that rounding the sides alone makes.
+        rng = np.random.default_rng(8)
+        la, lc = 10.0 ** rng.uniform(-10.0, math.log10(300.0), (2, 400))
+        gap = np.abs(la - lc)
+        lb = gap + rng.uniform(0.0, 1.0, 400) * (la + lc - gap)
+        got = angle_from_sides(la, lc, lb)
+        for g, a, c, b in zip(got.tolist(), la.tolist(), lc.tolist(), lb.tolist()):
+            want, cond = mp_angle_from_sides(a, c, b)
+            assert abs(g - want) <= 2.0 * np.finfo(float).eps * cond
+
+    def test_from_sides_finite_over_the_domain(self):
+        # Sides up to the coordinate domain's diameter, and third sides from
+        # the degenerate |la - lc| to la + lc, both ends included.
+        rng = np.random.default_rng(24)
+        la, lc = 10.0 ** rng.uniform(-12.0, math.log10(709.7), (2, 100_000))
+        t = rng.uniform(0.0, 1.0, 100_000)
+        t[:1000], t[1000:2000] = 0.0, 1.0
+        gap = np.abs(la - lc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = angle_from_sides(la, lc, gap + t * (la + lc - gap))
+        assert np.isfinite(got).all()
+        assert ((got >= 0.0) & (got <= math.pi)).all()
 
     def test_from_sides_rejects_zero_side(self):
         for la, lc in ((0.0, 1.0), (1.0, 1e-13), (np.array([1.0, 0.0]), np.ones(2))):

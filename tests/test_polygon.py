@@ -8,15 +8,15 @@ import pytest
 from hypwidth.corpus import nested_pair, random_convex_polygon, random_nonequilateral_triangle
 from hypwidth.errors import GeometryError, NonConvex, TooFewVertices
 from hypwidth.extremal import indisk
-from hypwidth.hcore import (HPoint, angle_from_sides, chart_to_hyperboloid, dist_pp,
+from hypwidth.hcore import (HPoint, angle_at, chart_to_hyperboloid, dist_pp,
                             hyperboloid_to_chart, mink, signed_dist, to_sheet)
 from hypwidth.polygon import (area, contains, make_polygon, perimeter,
                               polygon_from_rows, side_line)
 from hypwidth.reduced import check_ordinary_reduced, regular_apothem, regular_ngon
 from hypwidth.width import thickness
 from polygon_families import hard_families
-from test_acceptance_oracles import (angle_defect_area, unscaled_angle_from_sides,
-                                     unscaled_side_normals, unscaled_to_sheet)
+from test_acceptance_oracles import (angle_defect_area, regular_angle, unscaled_side_normals,
+                                     unscaled_to_sheet)
 
 
 def contains_origin(V):
@@ -169,14 +169,21 @@ class TestUnscaledReference:
                 assert to_sheet(w).tobytes() == unscaled_to_sheet(w).tobytes()
             assert area(V) == angle_defect_area(V)
 
-    def test_law_of_cosines_bit_identical(self):
-        # Sides from 1e-10 to 300, where the unscaled products stay finite.
-        rng = np.random.default_rng(8)
-        la, lc = 10.0 ** rng.uniform(-10.0, math.log10(300.0), (2, 20000))
-        gap = np.abs(la - lc)
-        lb = gap + rng.uniform(0.0, 1.0, 20000) * (la + lc - gap)
-        assert angle_from_sides(la, lc, lb).tobytes() == \
-            unscaled_angle_from_sides(la, lc, lb).tobytes()
+
+class TestRegularAngles:
+    @pytest.mark.parametrize("n", [3, 5, 7, 31, 101])
+    def test_vertex_angles_and_area_match_closed_form(self, n):
+        for R in (0.01, 0.1, 1.0, 3.0, 10.0, 15.0, 18.0, 40.0, 100.0, 200.0, 300.0, 354.0):
+            V = regular_ngon(n, R)
+            m = V.vertex_matrix
+            gamma = regular_angle(n, R)
+            angles = angle_at(np.roll(m, 1, axis=0), m, np.roll(m, -1, axis=0))
+            assert angles == pytest.approx(np.full(n, gamma), rel=1e-12, abs=0.0)
+            # Below R = 1 the angle defect cancels: the area is the difference
+            # of two nearly equal sums, whichever formula gives the angles.
+            if R >= 1.0:
+                assert area(V) == pytest.approx(
+                    (n - 2) * math.pi - n * gamma, rel=1e-12, abs=0.0)
 
 
 class TestEquality:

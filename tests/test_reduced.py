@@ -54,12 +54,12 @@ TRIANGLE_RECORDS = (
 REGULAR_TRIANGLE_HALVING = (
     "HalvingReport(records=(HalvingRecord(index=0, chord_left=0.43721826415672366, "
     "chord_right=0.4372182641567236, half_perimeter_gap=-4.440892098500626e-16, "
-    "alpha=0.47320551611480605, beta=0.47320551611480655), HalvingRecord(index=1, "
+    "alpha=0.47320551611480616, beta=0.4732055161148062), HalvingRecord(index=1, "
     "chord_left=0.4372182641567233, chord_right=0.4372182641567236, "
-    "half_perimeter_gap=-2.220446049250313e-16, alpha=0.47320551611480605, "
-    "beta=0.47320551611480605), HalvingRecord(index=2, chord_left=0.43721826415672355, "
+    "half_perimeter_gap=-2.220446049250313e-16, alpha=0.4732055161148062, "
+    "beta=0.47320551611480655), HalvingRecord(index=2, chord_left=0.43721826415672355, "
     "chord_right=0.43721826415672327, half_perimeter_gap=8.881784197001252e-16, "
-    "alpha=0.47320551611480627, beta=0.4732055161148058)))")
+    "alpha=0.47320551611480627, beta=0.47320551611480577)))")
 
 
 def circumradius(V):
@@ -388,6 +388,18 @@ class TestSolve:
                         assert a.tobytes() == b.tobytes()
                     J = _jacobian(lifted, frame)
                     assert J.tobytes() == unscaled_jacobian(ref_lifted, frame).tobytes()
+
+    def test_trial_with_non_spacelike_normals_is_rejected_without_warning(self):
+        # On this draw some line-search trials put the ends of a side where
+        # its normal's Lorentz norm rounds negative; the trial is rejected
+        # and the solve ends in a typed error, not a RuntimeWarning.
+        rng = np.random.default_rng(15)
+        reg = regular_ngon_with_thickness(15, 30.0)
+        seed = [perturbed_polygon(reg, rng) for _ in range(8)][-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match="line search stalled"):
+                solve_ordinary_reduced(seed, 30.0)
 
     @pytest.mark.parametrize("R", [180.0, 200.0, 250.0, 300.0, 350.0])
     def test_far_regular_seed_solves_or_raises(self, R):
