@@ -1,12 +1,12 @@
 """Extremal quantities and ratio experiments over ordinary reduced polygons.
 
 Both extremal disks are exact combinatorial constructions in the hyperboloid
-model.  The smallest enclosing disk comes from Welzl's incremental algorithm
-over the vertices, the largest inscribed disk from a collapse sweep over
-the n - 2 vertices of the polygon's medial axis.  The grid scan records
-diameter/thickness ratios together with perimeter, area and the two radii.
-Expected-but-unproved ratio bounds are logged as findings, never raised: the
-scan is evidence gathering, not a proof checker.
+model.  The smallest enclosing disk comes from farthest-violator pivoting
+over supports of at most three vertices, the largest inscribed disk from a
+collapse sweep over the n - 2 vertices of the polygon's medial axis.  The
+grid scan records diameter/thickness ratios together with perimeter, area
+and the two radii.  Expected-but-unproved ratio bounds are logged as
+findings, never raised: the scan is evidence gathering, not a proof checker.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import perturbed_polygon
 from .errors import GeometryError, NumericalError
-from .hcore import MINK_DIAG, HPoint, unit_timelike
+from .hcore import MINK_DIAG, HPoint, mink, unit_timelike
 from .polygon import ConvexPolygon, area, make_polygon, perimeter
 from .reduced import regular_ngon_with_thickness, solve_ordinary_reduced
 from .width import diameter, thickness
@@ -39,34 +40,30 @@ def circumdisk(V: ConvexPolygon) -> tuple[HPoint, float]:
 
     With w = c / cosh(R), the disk of center c and radius R contains vertex v
     exactly when -B(w, v) <= 1, and the smallest disk is the w of largest
-    Lorentz norm.  This is an LP-type problem, so Welzl's incremental
-    algorithm solves it exactly: vertices are added in index order, and a
-    vertex outside the current disk (by more than DISK_TOL) lies on the
-    boundary of the next one, which is rebuilt from at most three boundary
-    vertices (a single point, the midpoint of a pair, or the equidistant
-    point of a triple).  The returned radius is the largest vertex distance
-    from the returned center.
+    Lorentz norm.  Supports of this LP-type problem have at most three
+    vertices, so farthest-violator pivoting solves it: from vertex 0, each
+    pass moves to the smallest disk through the vertex p farthest outside (by
+    more than DISK_TOL) that covers the support, spanned by p and one support
+    vertex or two (if its w is future timelike).  It holds the old support
+    and a point outside the old disk, so the radius grows, no support recurs
+    and the loop ends.  As B rounds by about 1e-8 at distance 10, a vertex is
+    outside only beyond every support vertex, and a candidate is checked
+    only on the support vertices it misses.  The returned radius is the
+    largest vertex distance from the returned center.
     """
-    g = V.mink_rows
-    m = V.vertex_matrix
-
-    def first_outside(w: np.ndarray, start: int, stop: int) -> int | None:
-        hits = np.flatnonzero(g[start:stop] @ w < -1.0 - DISK_TOL)
-        return start + int(hits[0]) if hits.size else None
-
-    w = m[0]
-    i = first_outside(w, 1, V.n)
-    while i is not None:
-        w = m[i]
-        j = first_outside(w, 0, i)
-        while j is not None:
-            w = (m[i] + m[j]) / (1.0 - g[i] @ m[j])
-            k = first_outside(w, 0, j)
-            while k is not None:
-                w = np.linalg.solve(g[[i, j, k]], -np.ones(3))
-                k = first_outside(w, k + 1, j)
-            j = first_outside(w, j + 1, i)
-        i = first_outside(w, i + 1, V.n)
+    g, m = V.mink_rows, V.vertex_matrix
+    support, w = [0], m[0]
+    while (b := g @ w).min() < b[support].min(initial=-1.0) - DISK_TOL:
+        p = int(np.argmin(b))
+        disks = [([p, s], (m[p] + m[s]) / (1.0 - g[p] @ m[s])) for s in support]
+        for s, t in combinations(support, 2):
+            ijk = sorted((p, s, t), reverse=True)
+            disks.append((ijk, np.linalg.solve(g[ijk], -np.ones(3))))
+        W = np.array([u for _, u in disks])
+        norm = -mink(W, W)
+        B = np.where([[s in ids for ids, _ in disks] for s in support], -1.0, g[support] @ W.T)
+        ok = (W[:, 2] > 0.0) & (norm > 0.0) & (B.min(axis=0) >= -1.0 - DISK_TOL)
+        support, w = disks[int(np.argmax(np.where(ok, norm, -np.inf)))]
     c = unit_timelike(w)
     return c, math.acosh(max(float(np.max(-(g @ c.vec))), 1.0))
 

@@ -12,15 +12,17 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import GeometryError, NonConvex, SchemaError, TooFewVertices
-from .extremal import ScanRow
 from .hcore import (chart_rows_to_hyperboloid, chart_to_hyperboloid, hyperboloid_to_chart,
                     off_sheet)
 from .polygon import ConvexPolygon, polygon_from_rows
+
+if TYPE_CHECKING:
+    from .extremal import ScanRow
 
 MODELS = ("hyperboloid", "klein", "poincare")
 

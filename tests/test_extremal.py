@@ -65,8 +65,15 @@ def moved_ultraparallel_quadrilaterals():
 
 class TestCircumdisk:
     def test_regular_polygon(self):
-        for n, R in ((5, 1.0), (7, 0.3), (9, 2.0)):
+        # Every vertex is on the circle, so the disk has many supports.
+        # regular_ngon(3001, 0.01) is too small to be strictly convex in
+        # floating point.
+        cases = [(5, 1.0), (7, 0.3), (9, 2.0)]
+        cases += [(n, R) for n in (3, 5, 9, 31, 1001, 3001) for R in (0.01, 1.0, 10.0, 350.0)
+                  if (n, R) != (3001, 0.01)]
+        for n, R in cases:
             c, r = circumdisk(regular_ngon(n, R))
+            assert r == pytest.approx(R, rel=1e-9)
             assert r == pytest.approx(R, abs=1e-9)
             assert dist_pp(c, (0.0, 0.0, 1.0)) < 1e-9
 
@@ -89,11 +96,22 @@ class TestCircumdisk:
             assert r == pytest.approx(oracle_circumdisk(V), abs=1e-8)
 
     def test_covers_all_vertices(self, rng):
-        for _ in range(10):
-            V = random_convex_polygon(rng, 6)
+        polys = [random_convex_polygon(rng, 6) for _ in range(10)]
+        polys += [jittered_circle_polygon(rng, n, rng.uniform(0.2, 2.5), shift)
+                  for n in (5, 301, 3001) for shift in (0.0, 2.0)]
+        for V in polys:
             c, r = circumdisk(V)
-            for v in V.vertices:
-                assert dist_pp(c, v) <= r + 1e-9
+            d = dist_pp(c, V.vertex_matrix)
+            assert np.all(d <= r + 1e-9)
+            assert np.count_nonzero(d >= r - 1e-9) >= 2
+        # Moved 9 away, B and the distances round by about 1e-8, more than
+        # DISK_TOL, so a support vertex can read outside its own disk.
+        for n in (4, 5):
+            for seed in range(8):
+                V = jittered_circle_polygon(np.random.default_rng(seed), n, 1.0, 9.0)
+                c, r = circumdisk(V)
+                assert r == pytest.approx(1.0, rel=1e-7)
+                assert np.all(dist_pp(c, V.vertex_matrix) <= r + 1e-7)
 
 
 class TestIndisk:
