@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import perturbed_polygon
 from .errors import GeometryError, NumericalError
-from .hcore import MINK_DIAG, HPoint, mink, unit_timelike
+from .hcore import MINK_DIAG, HPoint, dist_pp, mink, unit_timelike
 from .polygon import ConvexPolygon, area, make_polygon, perimeter
 from .reduced import regular_ngon_with_thickness, solve_ordinary_reduced
 from .width import diameter, thickness
@@ -65,7 +65,7 @@ def circumdisk(V: ConvexPolygon) -> tuple[HPoint, float]:
         ok = (W[:, 2] > 0.0) & (norm > 0.0) & (B.min(axis=0) >= -1.0 - DISK_TOL)
         support, w = disks[int(np.argmax(np.where(ok, norm, -np.inf)))]
     c = unit_timelike(w)
-    return c, math.acosh(max(float(np.max(-(g @ c.vec))), 1.0))
+    return c, float(dist_pp(c, m).max())
 
 
 def indisk(V: ConvexPolygon) -> tuple[HPoint, float]:

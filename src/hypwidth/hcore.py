@@ -15,15 +15,18 @@ immutable, so everything here is safe to call concurrently.
 
 Far from the origin the form evaluates with catastrophic cancellation
 (coordinates grow like cosh of the distance), so the unit-norm tolerances are
-scale-relative and small distances use the cancellation-free chord form
-cosh(d) - 1 = B(q - p, q - p) / 2.  The coordinate domain is finite
-coordinates with x^2 + y^2 + t^2 below float64's maximum, that is, up to about
-distance 355 from the chart origin.  Beyond it that scale overflows, and
-``HPoint``, ``HLine`` and ``unit_spacelike`` raise GeometryError (``off_sheet``
-flags the row).  Inside it, only rows are rescaled: ``to_sheet``, the side
-normals and the solver divide their rows by powers of two (``scale_rows``),
-which is exact and keeps their products finite.  ``angle_from_sides`` needs
-no rescaling, as its terms are bounded.
+scale-relative.  ``dist_pp`` is the one point-to-point distance: for each
+pair it takes cosh(d) - 1 from the chord form B(q - p, q - p) / 2, which
+rounds on the scale |q - p|^2 and keeps near points, or from -B(p, q) - 1,
+which rounds on the scale pt*qt and keeps far-apart points, whichever scale
+is smaller.  The coordinate domain is finite coordinates with x^2 + y^2 +
+t^2 below float64's maximum, that is, up to about distance 355 from the
+chart origin.  Beyond it that scale overflows, and ``HPoint``, ``HLine``
+and ``unit_spacelike`` raise GeometryError (``off_sheet`` flags the row).
+Inside it, only rows are rescaled: ``to_sheet``, the side normals and the
+solver divide their rows by powers of two (``scale_rows``), which is exact
+and keeps their products finite.  ``angle_from_sides`` needs no rescaling,
+as its terms are bounded.
 """
 
 from __future__ import annotations
@@ -276,19 +279,28 @@ def lorentz_cross(a, b) -> np.ndarray:
 def dist_pp(p, q):
     """Geodesic distance arccosh(-B(p, q)) between two points.
 
-    Evaluated through the chord form 2*asinh(sqrt(B(q-p, q-p)/2)), which is
-    exact for nearby points where -B(p,q) itself rounds to 1.  Roundoff that
-    pushes the chord value slightly negative is absorbed up to a
-    scale-relative guard; anything worse means the inputs are off the
-    hyperboloid and raises.  Stacked (..., 3) arrays give an array of one
-    distance per row, and raise if any row is off the hyperboloid.
+    Evaluated as 2*asinh(sqrt(x/2)) with x = cosh(d) - 1, taken row by row
+    from whichever of two forms rounds on the smaller scale.  The chord form
+    x = B(q-p, q-p)/2, so sqrt(x/2) = sqrt(B(q-p, q-p)/4), rounds on the
+    scale |q-p|^2 (the sum of its squared components) and is exact for
+    nearby points, where -B(p,q) itself rounds to 1; the form
+    x = -B(p,q) - 1 rounds on the scale pt*qt and keeps far-apart points,
+    where the chord cancels.  Roundoff that pushes x slightly negative is
+    absorbed up to a scale-relative guard; anything worse means the inputs
+    are off the hyperboloid and raises.  Stacked (..., 3) arrays give an
+    array of one distance per row, and raise if any row is off the
+    hyperboloid.
     """
     a = _vec3(p, stacked=True)
     b = _vec3(q, stacked=True)
     d = b - a
-    x = 0.5 * mink(d, d)
-    if np.any(x < 0.0):
-        guard = np.maximum(DIST_CLAMP_TOL, 64.0 * _EPS * np.abs(a[..., 2] * b[..., 2]))
+    dd = d * d
+    ab = a * b
+    tt = ab[..., 2]
+    dxy, dtt = dd[..., 0] + dd[..., 1], dd[..., 2]
+    x = np.where(dxy + dtt <= tt, 0.5 * (dxy - dtt), tt - (ab[..., 0] + ab[..., 1]) - 1.0)
+    if x.min(initial=0.0) < 0.0:
+        guard = np.maximum(DIST_CLAMP_TOL, 64.0 * _EPS * np.abs(tt))
         if np.any(x < -guard):
             raise GeometryError(
                 f"inputs off the hyperboloid: cosh(d)-1 = {float(np.min(x)):.3e}")
@@ -351,14 +363,22 @@ def angle_from_sides(la, lc, lb):
     as e^x E(x) / 2, E(x) = -expm1(-2x) in [0, 1), and the exponentials
     cancelled to e^-(s - lb).  Every term is bounded, so nothing overflows,
     and small angles and needle-like triangles keep their accuracy (Kahan
-    2014).  Half-differences below 0 count as 0.  Arrays give one angle per
-    entry, and raise if any la or lc is (nearly) zero.
+    2014).  With the sides sorted as a >= b >= c, the doubled
+    half-differences are c - (a - b), c + (a - b) and a + (b - c), and the
+    perimeter a + (b + c), so no difference is taken of rounded sums.
+    Half-differences below 0 count as 0.  Arrays give one angle per entry,
+    and raise if any la or lc is (nearly) zero.
     """
-    if np.any(np.minimum(la, lc) < 1e-12):
+    sides = np.array(np.broadcast_arrays(la, lc, lb))
+    if sides[:2].min(initial=math.inf) < 1e-12:
         raise GeometryError("angle undefined for coincident points")
-    s = 0.5 * (la + lb + lc)
-    ea, ec, eb, es = (-np.expm1(-2.0 * np.maximum(x, 0.0)) for x in (s - la, s - lc, s - lb, s))
-    angle = 2.0 * np.arctan2(np.sqrt(ea * ec / es) * np.exp(lb - s), np.sqrt(eb))
+    c, b, a = np.sort(sides, axis=0)
+    ab = a - b
+    # Rows: 2(s - la), 2(s - lc), 2(s - lb), each by the rule for its rank.
+    h = np.maximum(np.where(sides == a, c - ab, np.where(sides == c, a + (b - c), c + ab)), 0.0)
+    ea, ec, eb = -np.expm1(-h)
+    es = -np.expm1(-(a + (b + c)))
+    angle = 2.0 * np.arctan2(np.sqrt(ea * ec / es) * np.exp(-0.5 * h[2]), np.sqrt(eb))
     return float(angle) if np.ndim(angle) == 0 else angle
 
 

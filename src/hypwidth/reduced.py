@@ -432,16 +432,22 @@ def perimeter_halving(V: ConvexPolygon, tol: float = HALVING_TOL) -> HalvingRepo
 def diameter_bound(delta: float) -> float:
     """Upper bound on the diameter of an ordinary reduced polygon of thickness delta.
 
+    The bound is arccosh(cosh(delta) q), q = sqrt(1 + sinh(delta)^2 / 3).
+    As cosh(delta) q - 1 = 2 sinh(delta/2)^2 q + (q^2 - 1) / (q + 1), it is
+    evaluated as 2 asinh(sqrt(sinh(delta/2)^2 q + sinh(delta)^2 / (6 (q + 1)))),
+    a sum of positive terms, so small thicknesses keep full accuracy.
     Raises GeometryError unless delta is positive and finite, and when the
     bound overflows float64 (from about delta = 355.6).
     """
     if not (delta > 0.0) or not math.isfinite(delta):
         raise GeometryError(f"thickness must be positive and finite, got {delta}")
     try:
-        return math.acosh(math.cosh(delta) * math.sqrt(1.0 + math.sinh(delta) ** 2 / 3.0))
+        s2 = math.sinh(delta) ** 2
     except OverflowError:  # sinh(delta) ** 2
         raise GeometryError(f"thickness {delta} is too large: the diameter bound "
                             "overflows float64") from None
+    q = math.sqrt(1.0 + s2 / 3.0)
+    return 2.0 * math.asinh(math.sqrt(math.sinh(0.5 * delta) ** 2 * q + s2 / (6.0 * (q + 1.0))))
 
 
 def diameter_within_bound(V: ConvexPolygon) -> bool:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSupporting
-from .hcore import HLine, mink, unit_spacelike
+from .hcore import HLine, dist_pp, mink, unit_spacelike
 from .polygon import ConvexPolygon
 
 SUPPORT_TOL = 1e-9
@@ -226,12 +226,17 @@ def thickness(V: ConvexPolygon) -> ThicknessReport:
 
 
 def diameter(V: ConvexPolygon) -> tuple[float, tuple[int, int]]:
-    """Maximum vertex distance with a witnessing pair (lowest index pair wins ties)."""
-    cosh = -(V.mink_rows @ V.vertex_matrix.T)
+    """Maximum vertex distance with a witnessing pair (lowest index pair wins ties).
+
+    Pairs are ranked by -B(v_i, v_j), which increases with their distance;
+    the winner's distance comes from ``dist_pp``.
+    """
+    m = V.vertex_matrix
+    cosh = -(V.mink_rows @ m.T)
     # Entries above the diagonal are cosh of distances, about 1 or more, so the
     # zeros below never win; argmax keeps the first maximum in row-major order.
     i, j = divmod(int(np.argmax(np.triu(cosh, 1))), V.n)
-    return math.acosh(max(float(cosh[i, j]), 1.0)), (i, j)
+    return dist_pp(m[i], m[j]), (i, j)
 
 
 def diameter_via_width(V: ConvexPolygon) -> float:

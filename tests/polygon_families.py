@@ -16,6 +16,18 @@ from hypwidth.polygon import ConvexPolygon, make_polygon
 from hypwidth.reduced import regular_ngon_with_thickness
 
 
+# Per n, the exponent k of the smallest quarter-decade thickness 10**(k/4) at
+# which regular_ngon_with_thickness builds a strictly convex n-gon; at
+# 10**((k-1)/4) it raises BracketFailure.
+SMALLEST_REGULAR_EXPONENT = {3: -24, 5: -23, 31: -18}
+
+
+def regular_thicknesses(n: int) -> list[float]:
+    """Quarter-decade thicknesses from the smallest the regular constructor
+    accepts at n (3, 5 or 31) up to 17.8, and 30."""
+    return [10.0 ** (k / 4) for k in range(SMALLEST_REGULAR_EXPONENT[n], 6)] + [30.0]
+
+
 def _klein_hull(k: np.ndarray) -> list:
     """Monotone-chain hull, counterclockwise, keeping only clearly strict turns.
 

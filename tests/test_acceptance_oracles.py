@@ -7,12 +7,14 @@ exhaustive pair/triple candidate construction, the largest inscribed disk by
 exhaustive side-triple construction, the diameter by a loop over vertex
 pairs, the ordinary-reducedness criterion and the boundary halving one
 vertex at a time, and the vertex pencils by arc interpolation between the
-two side normals.  The full-width sweep is the library's envelope sweep
-before each pencil was restricted to its own column range: it runs every
-pencil over all n sinusoids, so the restricted sweep must reproduce it bit
-for bit.  The all-sides collapse sweep is the library's inscribed-disk sweep
-before each event was scored from its three defining sides: it scores every
-event against all n sides.  The unscaled side normals, sheet step, solver
+two side normals.  Distances have a 50-digit reference on the (x, y)
+reading of a vertex row, from which the diameter's loop takes its value.
+The full-width sweep is the library's envelope sweep before each pencil was
+restricted to its own column range: it runs every pencil over all n
+sinusoids, so the restricted sweep must reproduce it bit for bit.  The
+all-sides collapse sweep is the library's inscribed-disk sweep before each
+event was scored from its three defining sides: it scores every event
+against all n sides.  The unscaled side normals, sheet step, solver
 residuals and solver Jacobian, and the angle-defect area, are the library's
 formulas before their rows were rescaled by powers of two and before the
 area read the side lengths once: inside the old domain the library must
@@ -285,9 +287,28 @@ def all_sides_indisk(V: ConvexPolygon) -> tuple[float, float]:
     return math.asinh(float(np.min(N @ c.vec))), gap
 
 
+def mp_dist(p, q) -> float:
+    """Distance of two vertex rows at 50 digits, on the (x, y) reading.
+
+    Each row names the point (x, y, sqrt(1 + x^2 + y^2)); its stored t is not
+    read.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        (x1, y1), (x2, y2) = ([mpmath.mpf(float(c)) for c in r[:2]] for r in (p, q))
+        t1, t2 = (mpmath.sqrt(1 + x * x + y * y) for x, y in ((x1, y1), (x2, y2)))
+        return float(mpmath.acosh(t1 * t2 - x1 * x2 - y1 * y2))
+
+
 def oracle_diameter(V: ConvexPolygon) -> tuple[float, tuple[int, int]]:
-    """Largest vertex distance by a loop over pairs; the lowest pair wins ties."""
-    cosh = -(V.mink_rows @ V.vertex_matrix.T)
+    """Largest vertex distance by a loop over pairs; the lowest pair wins ties.
+
+    Pairs are ranked by -B(v_i, v_j) in floats, as the library ranks them,
+    and the winner's distance is ``mp_dist``'s.
+    """
+    m = V.vertex_matrix
+    cosh = -(V.mink_rows @ m.T)
     best = -math.inf
     pair = (0, 1)
     for i in range(V.n - 1):
@@ -295,7 +316,7 @@ def oracle_diameter(V: ConvexPolygon) -> tuple[float, tuple[int, int]]:
             if cosh[i, j] > best:
                 best = cosh[i, j]
                 pair = (i, j)
-    return math.acosh(max(best, 1.0)), pair
+    return mp_dist(m[pair[0]], m[pair[1]]), pair
 
 
 def oracle_check_ordinary_reduced(V: ConvexPolygon, tol: float = 1e-9):

@@ -80,11 +80,20 @@ class TestHappyPaths:
         doc = json.loads(out)
         assert doc["results"][0]["passed"] is True
 
-    def test_verify_theorem3_default_corpus(self, capsys):
+    def test_verify_theorem3_default_corpus(self, capsys, tmp_path):
         code, out = run(capsys, "verify", "--theorem", "3", "--seed-rng", "1")
         assert code == 0
         doc = json.loads(out)
         assert all(r["passed"] for r in doc["results"])
+        # Small triangles, whose diameter and bound differ by about 1e-10
+        # relative: both must be evaluated without cancellation.
+        path = str(tmp_path / "triangle.json")
+        for delta in ("1e-4", "1e-5", "1e-6"):
+            assert run(capsys, "regular", "--n", "3", "--thickness", delta,
+                       "--output", path)[0] == 0
+            code, out = run(capsys, "verify", "--theorem", "3", "--input", path)
+            assert code == 0
+            assert json.loads(out)["results"][0]["passed"] is True, delta
 
     def test_verify_reducedness_on_input(self, capsys, pentagon_file):
         code, out = run(capsys, "verify", "--theorem", "1", "--input", pentagon_file)

@@ -6,6 +6,9 @@ until its marker is removed.  The faults are rounding, whose cancellation
 grows like eps * cosh^3 of the distance from the chart origin.  The area
 and vertex angle of a large pentagon are plain tests: its vertex angle is
 7.6e-87, and ``angle_from_sides`` must keep it to full relative accuracy.
+The boundary-halving tests are plain too: ``dist_pp`` takes each distance
+from whichever of its two forms rounds less, out to the edge of the
+coordinate domain.
 The last test checks that three far calls, which once overflowed inside the
 coordinate domain, return finite values without a warning.
 """
@@ -14,10 +17,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from hypwidth.cli import main
-from hypwidth.errors import GeometryError, NotSupporting
+from hypwidth.errors import NotSupporting
 from hypwidth.hcore import angle_at
 from hypwidth.polygon import area, side_line
 from hypwidth.reduced import perimeter_halving, regular_apothem, regular_ngon
@@ -58,20 +62,30 @@ def test_side_line_supports(n, R, j):
         R + regular_apothem(n, R), abs=1e-9)
 
 
-@far_field(GeometryError)
 @pytest.mark.parametrize("n, R", [(3, 38.0), (5, 37.5)])
 def test_perimeter_halving_holds(n, R):
-    # Both raise GeometryError today, from a degenerate angle or a distance
-    # whose cosh(d) - 1 rounds negative.
+    # Both raised GeometryError, from a degenerate angle or a distance whose
+    # chord form cosh(d) - 1 = B(q - p, q - p) / 2 rounded negative.
     rep = perimeter_halving(regular_ngon(n, R))
     for r in rep.records:
         assert abs(r.chord_left - r.chord_right) <= 1e-8
         assert abs(r.half_perimeter_gap) <= 1e-8
 
 
-@far_field(AssertionError)
+@pytest.mark.parametrize("n", [3, 5, 31])
+def test_perimeter_halving_holds_across_the_domain(n):
+    # The chord form cancelled on far-apart vertices: the gaps passed 1e-8
+    # from R = 16.5-19, and the halving raised from R = 35-38.
+    for R in np.arange(0.5, 355.0, 0.5).tolist():
+        rep = perimeter_halving(regular_ngon(n, R))
+        gap = max(max(abs(r.chord_left - r.chord_right), abs(r.half_perimeter_gap))
+                  for r in rep.records)
+        assert gap <= 1e-8, R
+
+
 def test_verify_halving_passes(capsys, tmp_path):
-    # chord_gap and half_perimeter_gap read 1.6e-8 against the 1e-8 margin.
+    # chord_gap and half_perimeter_gap read 1.6e-8 against the 1e-8 margin
+    # while the chord form cancelled on far-apart vertices.
     path = tmp_path / "pentagon.json"
     assert main(["regular", "--n", "5", "--circumradius", "18.5", "--model", "hyperboloid",
                  "--output", str(path)]) == 0

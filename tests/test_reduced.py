@@ -23,6 +23,7 @@ from hypwidth.reduced import (_frame, _jacobian, _min_norm_step, _residuals,
                               regular_ngon_with_thickness,
                               solve_ordinary_reduced)
 from hypwidth.width import ThicknessReport, diameter, thickness
+from polygon_families import SMALLEST_REGULAR_EXPONENT, regular_thicknesses
 from test_acceptance_oracles import (oracle_check_ordinary_reduced, oracle_perimeter_halving,
                                      unscaled_jacobian, unscaled_residuals)
 
@@ -54,12 +55,12 @@ TRIANGLE_RECORDS = (
 REGULAR_TRIANGLE_HALVING = (
     "HalvingReport(records=(HalvingRecord(index=0, chord_left=0.43721826415672366, "
     "chord_right=0.4372182641567236, half_perimeter_gap=-4.440892098500626e-16, "
-    "alpha=0.47320551611480616, beta=0.4732055161148062), HalvingRecord(index=1, "
+    "alpha=0.473205516114806, beta=0.4732055161148062), HalvingRecord(index=1, "
     "chord_left=0.4372182641567233, chord_right=0.4372182641567236, "
     "half_perimeter_gap=-2.220446049250313e-16, alpha=0.4732055161148062, "
-    "beta=0.47320551611480655), HalvingRecord(index=2, chord_left=0.43721826415672355, "
+    "beta=0.47320551611480627), HalvingRecord(index=2, chord_left=0.43721826415672355, "
     "chord_right=0.43721826415672327, half_perimeter_gap=8.881784197001252e-16, "
-    "alpha=0.47320551611480627, beta=0.47320551611480577)))")
+    "alpha=0.47320551611480627, beta=0.4732055161148059)))")
 
 
 def circumradius(V):
@@ -276,6 +277,11 @@ class TestRegularNgonWithThickness:
         # too small to be strictly convex in floating point
         with pytest.raises(BracketFailure):
             regular_ngon_with_thickness(3, 1e-7)
+        # The small end of the domain, by quarter decades.
+        for n, k in SMALLEST_REGULAR_EXPONENT.items():
+            assert regular_ngon_with_thickness(n, 10.0 ** (k / 4)).n == n
+            with pytest.raises(BracketFailure):
+                regular_ngon_with_thickness(n, 10.0 ** ((k - 1) / 4))
 
     @pytest.mark.parametrize("n", [3, 5, 31])
     def test_far_thickness(self, n):
@@ -718,9 +724,14 @@ class TestDiameterBound:
         assert diameter_within_bound(V)
 
     def test_bound_value(self):
-        d = 1.0
-        expected = math.acosh(math.cosh(1.0) * math.sqrt(1.0 + math.sinh(1.0) ** 2 / 3.0))
-        assert diameter_bound(d) == expected
+        # Against arccosh(cosh d sqrt(1 + sinh(d)^2 / 3)) at 50 digits; acosh
+        # of that cosh in floats was 7e-5 off at d = 1e-6.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for d in regular_thicknesses(3):
+                x = mp.mpf(d)
+                expected = mp.acosh(mp.cosh(x) * mp.sqrt(1 + mp.sinh(x) ** 2 / 3))
+                assert abs(diameter_bound(d) - expected) <= 1e-15 * expected, d
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0, -math.inf])
     def test_invalid_thickness_rejected(self, delta):

@@ -10,10 +10,10 @@ from hypwidth.errors import NotSupporting
 from hypwidth.extremal import rhombus
 from hypwidth.hcore import HLine, HPoint, apply_isometry, random_isometry, signed_dist
 from hypwidth.polygon import make_polygon, polygon_from_rows, side_line
-from hypwidth.reduced import regular_apothem, regular_ngon
+from hypwidth.reduced import regular_apothem, regular_ngon, regular_ngon_with_thickness
 from hypwidth.width import (SUPPORT_TOL, diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
-from polygon_families import hard_families, squashed_hull
+from polygon_families import hard_families, regular_thicknesses, squashed_hull
 from test_acceptance_oracles import (brute_thickness, dense_thickness, envelope_tops,
                                      full_width_diameter_via_width, full_width_thickness,
                                      full_width_tops, oracle_diameter, slerp_pencil_line)
@@ -289,13 +289,20 @@ class TestDiameter:
         # Regular polygons tie exactly in many pairs, which checks the tie rule.
         polys = [regular_ngon(n, R) for n in range(3, 52, 2) for R in (0.3, 1.0, 4.0)]
         polys += [rhombus(1.0, 1.0), rhombus(0.7, 1.3)]
-        polys += [jittered_circle_polygon(rng, n, 1.2, 3.0) for n in (4, 9, 40, 101)]
+        circles = [jittered_circle_polygon(rng, n, 1.2, 3.0) for n in (4, 9, 40, 101)]
         polys += [squashed_hull(rng) for _ in range(10)]
-        for V in polys:
+        # From the smallest regular polygons up: a distance taken as acosh of
+        # a cosh was 1e-4 off at (3, 1e-6).
+        polys += [regular_ngon_with_thickness(n, delta)
+                  for n in (3, 5, 31) for delta in regular_thicknesses(n)]
+        for V in polys + circles:
             d, pair = diameter(V)
             d_ref, pair_ref = oracle_diameter(V)
             assert pair == pair_ref
-            assert d.hex() == d_ref.hex()
+            # The circles, moved 3 off the origin, were put on the sheet
+            # radially: their t differs from the (x, y) reading's by up to
+            # eps t, which moves d by a few ulps.
+            assert abs(d - d_ref) <= (8.0 * math.ulp(d_ref) if V in circles else 1e-15 * d_ref)
 
     def test_diameter_via_width_matches(self, rng):
         for V in (regular_ngon(3, 1.0), regular_ngon(5, 1.0)):
