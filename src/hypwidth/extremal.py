@@ -29,7 +29,6 @@ from .width import diameter, thickness
 
 log = logging.getLogger(__name__)
 
-DISK_TOL = 1e-9
 # How far a non-regular diameter may fall below the regular one of its cell
 # before ratio_scan logs it as a finding.
 SCAN_DIAMETER_TOL = 1e-9
@@ -40,20 +39,21 @@ def circumdisk(V: ConvexPolygon) -> tuple[HPoint, float]:
 
     With w = c / cosh(R), the disk of center c and radius R contains vertex v
     exactly when -B(w, v) <= 1, and the smallest disk is the w of largest
-    Lorentz norm.  Supports of this LP-type problem have at most three
-    vertices, so farthest-violator pivoting solves it: from vertex 0, each
-    pass moves to the smallest disk through the vertex p farthest outside (by
-    more than DISK_TOL) that covers the support, spanned by p and one support
+    Lorentz norm -B(w, w).  Supports of this LP-type problem have at most
+    three vertices, so farthest-violator pivoting solves it: from vertex 0
+    (norm 1), each pass moves to the smallest disk through the vertex p
+    farthest outside that covers the support, spanned by p and one support
     vertex or two (if its w is future timelike).  It holds the old support
-    and a point outside the old disk, so the radius grows, no support recurs
-    and the loop ends.  As B rounds by about 1e-8 at distance 10, a vertex is
-    outside only beyond every support vertex, and a candidate is checked
-    only on the support vertices it misses.  The returned radius is the
+    and a point outside the old disk, so the radius grows.  As B rounds by
+    about 1e-8 at distance 10, a vertex is outside only beyond every support
+    vertex, a candidate is checked only on the support vertices it misses,
+    and the loop ends unless a valid candidate's norm is below the current
+    one (kept as a number: -B(v, v) rounds to 0 far out).  The radius is the
     largest vertex distance from the returned center.
     """
     g, m = V.mink_rows, V.vertex_matrix
-    support, w = [0], m[0]
-    while (b := g @ w).min() < b[support].min(initial=-1.0) - DISK_TOL:
+    support, w, norm_w = [0], m[0], 1.0
+    while (b := g @ w).min() < b[support].min(initial=-1.0):
         p = int(np.argmin(b))
         disks = [([p, s], (m[p] + m[s]) / (1.0 - g[p] @ m[s])) for s in support]
         for s, t in combinations(support, 2):
@@ -62,8 +62,11 @@ def circumdisk(V: ConvexPolygon) -> tuple[HPoint, float]:
         W = np.array([u for _, u in disks])
         norm = -mink(W, W)
         B = np.where([[s in ids for ids, _ in disks] for s in support], -1.0, g[support] @ W.T)
-        ok = (W[:, 2] > 0.0) & (norm > 0.0) & (B.min(axis=0) >= -1.0 - DISK_TOL)
-        support, w = disks[int(np.argmax(np.where(ok, norm, -np.inf)))]
+        ok = (W[:, 2] > 0.0) & (norm > 0.0) & (B.min(axis=0) >= -1.0)
+        k = int(np.argmax(np.where(ok, norm, -np.inf)))
+        if not (ok[k] and norm[k] < norm_w):
+            break
+        (support, w), norm_w = disks[k], norm[k]
     c = unit_timelike(w)
     return c, float(dist_pp(c, m).max())
 

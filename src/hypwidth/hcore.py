@@ -460,21 +460,3 @@ def translation_x(d: float) -> np.ndarray:
     c, s = math.cosh(d), math.sinh(d)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
-
-def random_isometry(rng: np.random.Generator, max_shift: float = 1.5) -> np.ndarray:
-    """Random orientation-preserving isometry fixing the upper sheet."""
-    t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    d = rng.uniform(-max_shift, max_shift)
-    return rotation(t1) @ translation_x(d) @ rotation(t2)
-
-
-def apply_isometry(M: np.ndarray, obj):
-    """Apply a Minkowski-orthogonal matrix to a point or a line.
-
-    The image is renormalized, which removes the tiny unit-norm drift of the
-    matrix product.
-    """
-    w = M @ _vec3(obj)
-    if isinstance(obj, HLine):
-        return unit_spacelike(w)
-    return unit_timelike(w)

@@ -16,9 +16,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import EvenGon, GeometryError, NonConvex, TooFewVertices
-from .hcore import (MINK_DIAG, HLine, HPoint, angle_from_sides, dist_pp, hyperboloid_to_chart,
-                    lines_from_normals, lorentz_cross, mink, off_sheet, scale_rows,
-                    to_sheet)
+from .hcore import (MINK_DIAG, HLine, HPoint, dist_pp, hyperboloid_to_chart, lines_from_normals,
+                    lorentz_cross, mink, off_sheet, scale_rows, to_sheet)
 
 # Strict left-turn threshold on Klein-chart cross products.
 CONVEXITY_TOL = 1e-12
@@ -267,13 +266,17 @@ def perimeter(V: ConvexPolygon) -> float:
 
 
 def area(V: ConvexPolygon) -> float:
-    """Polygon area by angle defect: (n - 2)*pi minus the interior angles, each
-    from two side lengths and a short diagonal of one stacked dist_pp call."""
+    """Sum of the fan triangles from vertex 0, each by L'Huilier's formula
+    tan(A/4) = sqrt(tanh(s/2) tanh((s-a)/2) tanh((s-b)/2) tanh((s-c)/2)), whose
+    terms are bounded; the 3(n-2) sides come from one stacked dist_pp call, and
+    the half-differences from sorted sides as in ``angle_from_sides``."""
     m = V.vertex_matrix
-    nxt = np.concatenate((m[1:], m[:1]))
-    L, D = dist_pp(np.stack((m, np.concatenate((m[-1:], m[:-1])))), nxt)
-    total = sum(angle_from_sides(np.concatenate((L[-1:], L[:-1])), L, D).tolist())
-    return (V.n - 2) * math.pi - total
+    fan = np.broadcast_to(m[0], m[2:].shape)
+    sides = dist_pp(np.stack((fan, m[1:-1], fan)), np.stack((m[1:-1], m[2:], m[2:])))
+    c, b, a = np.sort(sides, axis=0)
+    h = np.maximum((c - (a - b), c + (a - b), a + (b - c)), 0.0)
+    t = np.tanh(0.25 * (a + (b + c))) * np.tanh(0.25 * h).prod(axis=0)
+    return 4.0 * sum(np.arctan(np.sqrt(t)).tolist())
 
 
 def side_line(V: ConvexPolygon, j: int) -> HLine:

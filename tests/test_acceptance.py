@@ -9,9 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from hypwidth.corpus import (clip_vertex_cap, nested_pair,
-                             perturbed_polygon, random_convex_polygon,
-                             random_nonequilateral_triangle)
+from hypwidth.corpus import perturbed_polygon
 from hypwidth.extremal import circumdisk, ratio_scan
 from hypwidth.hcore import (ULTRAPARALLEL, angle_at, dist_pp, line_relation,
                             signed_dist)
@@ -23,6 +21,8 @@ from hypwidth.reduced import (check_ordinary_reduced, diameter_bound,
                               solve_ordinary_reduced)
 from hypwidth.width import (diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
+from polygon_families import (clip_vertex_cap, nested_pair, random_convex_polygon,
+                              random_nonequilateral_triangle)
 from test_acceptance_oracles import dense_thickness, oracle_circumdisk
 
 PENTAGON_DELTAS = (0.5, 1.0, 1.6, 2.2)

@@ -7,17 +7,17 @@ exhaustive pair/triple candidate construction, the largest inscribed disk by
 exhaustive side-triple construction, the diameter by a loop over vertex
 pairs, the ordinary-reducedness criterion and the boundary halving one
 vertex at a time, and the vertex pencils by arc interpolation between the
-two side normals.  Distances have a 50-digit reference on the (x, y)
-reading of a vertex row, from which the diameter's loop takes its value.
+two side normals.  Distances and areas have 50-digit references on the (x, y)
+reading of the vertex rows; the diameter's loop takes its value from the
+first, and the area is the angle defect, not the library's fan of triangles.
 The full-width sweep is the library's envelope sweep before each pencil was
 restricted to its own column range: it runs every pencil over all n
 sinusoids, so the restricted sweep must reproduce it bit for bit.  The
 all-sides collapse sweep is the library's inscribed-disk sweep before each
 event was scored from its three defining sides: it scores every event
 against all n sides.  The unscaled side normals, sheet step, solver
-residuals and solver Jacobian, and the angle-defect area, are the library's
-formulas before their rows were rescaled by powers of two and before the
-area read the side lengths once: inside the old domain the library must
+residuals and solver Jacobian are the library's formulas before their rows
+were rescaled by powers of two: inside the old domain the library must
 reproduce them bit for bit.  Angles have two references: the half-angle
 formula at 50 digits with its conditioning, for any triangle, and the closed
 form of a regular polygon's vertex angle.
@@ -25,6 +25,7 @@ form of a regular polygon's vertex angle.
 
 import heapq
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -122,13 +123,6 @@ def unscaled_to_sheet(v: np.ndarray) -> np.ndarray:
     sq = v * v
     n = sq[..., 2] - sq[..., 0] - sq[..., 1]
     return v / np.copysign(np.sqrt(n), v[..., 2])[..., None]
-
-
-def angle_defect_area(V: ConvexPolygon) -> float:
-    """(n - 2)*pi minus the interior angles, each from angle_at's three distances."""
-    m = V.vertex_matrix
-    angles = angle_at(np.roll(m, 1, axis=0), m, np.roll(m, -1, axis=0))
-    return (V.n - 2) * math.pi - sum(angles.tolist())
 
 
 def slerp_normal(u0: np.ndarray, u1: np.ndarray, s: float) -> np.ndarray:
@@ -299,6 +293,67 @@ def mp_dist(p, q) -> float:
         (x1, y1), (x2, y2) = ([mpmath.mpf(float(c)) for c in r[:2]] for r in (p, q))
         t1, t2 = (mpmath.sqrt(1 + x * x + y * y) for x, y in ((x1, y1), (x2, y2)))
         return float(mpmath.acosh(t1 * t2 - x1 * x2 - y1 * y2))
+
+
+def _mp_points(V: ConvexPolygon) -> list:
+    """The vertex rows as columns (x, y, sqrt(1 + x^2 + y^2)) at the working
+    precision of mpmath: the (x, y) reading, in which the stored t is not read."""
+    import mpmath
+
+    pts = []
+    for x, y in V.vertex_matrix[:, :2].tolist():
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        pts.append(mpmath.matrix([x, y, mpmath.sqrt(1 + x * x + y * y)]))
+    return pts
+
+
+def _mp_cosh(p, q):
+    """-B(p, q), the cosh of the distance of two points."""
+    return p[2] * q[2] - p[0] * q[0] - p[1] * q[1]
+
+
+def mp_area(V: ConvexPolygon) -> float:
+    """Polygon area at 50 digits, on the (x, y) reading of the vertex rows.
+
+    (n - 2)*pi minus the interior angles, each from the law of cosines
+    cos(angle) = (cosh a cosh c - cosh b) / (sinh a sinh c); 50 digits leave
+    some 25 after the cancellations at the smallest polygons the regular
+    constructor builds.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        pts = _mp_points(V)
+        total = 0
+        for a, b, c in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1]):
+            ca, cc = _mp_cosh(b, a), _mp_cosh(b, c)
+            total += mpmath.acos((ca * cc - _mp_cosh(a, c))
+                                 / mpmath.sqrt((ca * ca - 1) * (cc * cc - 1)))
+        return float((V.n - 2) * mpmath.pi - total)
+
+
+def mp_circumradius(V: ConvexPolygon) -> float:
+    """Smallest enclosing radius at 50 digits, on the (x, y) reading of the rows.
+
+    Every centre of a disk through two vertices (their midpoint) or three
+    (w with B(w, v) = -1 at each, normalised when future timelike) is tried,
+    and the least largest vertex distance from one of them is the radius: no
+    centre does better than the true one, which is among them.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        pts = _mp_points(V)
+        centres = [p + q for p, q in combinations(pts, 2)]
+        for ijk in combinations(pts, 3):
+            M = mpmath.matrix([[p[0], p[1], -p[2]] for p in ijk])
+            centres.append(mpmath.lu_solve(M, mpmath.matrix([-1, -1, -1])))
+        best = mpmath.inf
+        for w in centres:
+            if w[2] > 0 and _mp_cosh(w, w) > 0:
+                c = w / mpmath.sqrt(_mp_cosh(w, w))
+                best = min(best, max(mpmath.acosh(_mp_cosh(c, p)) for p in pts))
+        return float(best)
 
 
 def oracle_diameter(V: ConvexPolygon) -> tuple[float, tuple[int, int]]:

@@ -3,9 +3,11 @@
 They check that bench/run.py still runs end to end and that every output
 passes the benchmark's own correctness checks: on reduce, every solved
 polygon passes the criterion, a 1e-8 halving gap and the diameter bound.
-They assert no timing.
+They assert no timing.  The runs do not trace, so a last test checks that
+every function the tracer wraps still exists where bench/spans.py looks.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -39,3 +41,13 @@ def test_scan_workload_runs_clean():
 
 def test_cli_workload_runs_clean():
     _run_clean("cli")
+
+
+def test_traced_functions_exist():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod}.{name}" for table in (spans.SPANNED, spans.COUNTED)
+               for mod, names in table.items() for name in names
+               if not callable(getattr(importlib.import_module(f"hypwidth.{mod}"), name, None))]
+    assert missing == []

@@ -5,17 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from hypwidth.corpus import jittered_circle_polygon, perturbed_polygon, random_convex_polygon
+from hypwidth.corpus import perturbed_polygon
 from hypwidth.errors import EvenGon, GeometryError, NumericalError
 from hypwidth.extremal import ScanRow, circumdisk, indisk, ratio_scan, rhombus
-from hypwidth.hcore import (HPoint, apply_isometry, dist_pp, random_isometry,
-                            signed_dist, unit_timelike)
+from hypwidth.hcore import HPoint, dist_pp, signed_dist, unit_timelike
 from hypwidth.polygon import make_polygon, side_line
 from hypwidth.reduced import (check_ordinary_reduced, regular_apothem, regular_ngon,
                               regular_ngon_with_thickness, solve_ordinary_reduced)
 from hypwidth.width import diameter, thickness
-from polygon_families import hard_families
-from test_acceptance_oracles import all_sides_indisk, oracle_circumdisk, oracle_indisk
+from polygon_families import (apply_isometry, hard_families, jittered_circle_polygon,
+                              random_convex_polygon, random_isometry, regular_thicknesses)
+from test_acceptance_oracles import (all_sides_indisk, mp_circumradius, oracle_circumdisk,
+                                     oracle_indisk)
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +105,8 @@ class TestCircumdisk:
             d = dist_pp(c, V.vertex_matrix)
             assert np.all(d <= r + 1e-9)
             assert np.count_nonzero(d >= r - 1e-9) >= 2
-        # Moved 9 away, B and the distances round by about 1e-8, more than
-        # DISK_TOL, so a support vertex can read outside its own disk.
+        # Moved 9 away, B and the distances round by about 1e-8, so a support
+        # vertex can read outside its own disk.
         for n in (4, 5):
             for seed in range(8):
                 V = jittered_circle_polygon(np.random.default_rng(seed), n, 1.0, 9.0)
@@ -113,17 +114,30 @@ class TestCircumdisk:
                 assert r == pytest.approx(1.0, rel=1e-7)
                 assert np.all(dist_pp(c, V.vertex_matrix) <= r + 1e-7)
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="absolute DISK_TOL at the small end (ROADMAP item 11)")
-    def test_tiny_triangle_circumradius(self):
-        # DISK_TOL bounds -B(w, v) - 1, about (d^2 - R^2) / 2 for a disk of
-        # small radius R, so the start disk at vertex 0 already "covers" this
-        # triangle and the radius returned is its diameter, 1.73 times R.
-        # Deciding coverage on chord values with a tolerance relative to the
-        # current radius (ROADMAP item 11's coverage rule) would fix it.
-        V = regular_ngon_with_thickness(3, 1e-5)
-        v = V.vertex(0)
-        assert circumdisk(V)[1] == pytest.approx(math.asinh(math.hypot(v.x, v.y)), rel=1e-9)
+    @pytest.mark.parametrize("family", ["regular-3", "regular-5", "regular-7", "hexagons"])
+    def test_small_polygon_circumradius(self, family):
+        # A vertex row's t is 1 to within an ulp, and B(w, v) rounds by a few
+        # eps, so each equation -B(w, v) = 1 of a disk of radius R is off by
+        # at most 4 eps: 1 for the stored t, 1.5 for the three products in
+        # B and 1.5 for the 3 x 3 solve.  As -B(w, v) - 1 is about R (d - R)
+        # there, that is a radial move of a vertex by 4 eps / R; the smallest
+        # disk of the moved vertices is then at most that far from the true
+        # one, and the largest distance from its centre twice that, so the
+        # relative error is at most 8 eps / R^2.  An absolute tolerance on
+        # -B(w, v) - 1 stops the pivot at once when the diameter is below
+        # about 4.5e-5 and returns the diameter as the radius.
+        if family == "hexagons":
+            polys = [random_convex_polygon(np.random.default_rng(seed), 6,
+                                           radius_range=(0.45 * s, 1.1 * s))
+                     for s in (1e-4, 1e-5) for seed in range(20)]
+        else:
+            n = int(family[-1])
+            polys = [regular_ngon_with_thickness(n, d) for d in regular_thicknesses(n)
+                     if d <= 1e-3]
+        eps = np.finfo(float).eps
+        for V in polys:
+            R = mp_circumradius(V)
+            assert circumdisk(V)[1] == pytest.approx(R, rel=8.0 * eps / R ** 2, abs=0.0)
 
 
 class TestIndisk:

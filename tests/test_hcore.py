@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from hypwidth.errors import GeometryError
 from hypwidth.hcore import (ASYMPTOTIC, COINCIDENT, HLine, HPoint,
                             INTERSECTING, ULTRAPARALLEL, UNIT_NORM_TOL, angle_at,
-                            angle_from_sides, apply_isometry,
+                            angle_from_sides,
                             chart_rows_to_hyperboloid, chart_to_hyperboloid, dist_pp, foot,
                             geodesic_point, hyperboloid_to_chart,
                             line_relation, line_through, lines_from_normals,
-                            lorentz_cross, mink, off_sheet, polar_point, random_isometry,
+                            lorentz_cross, mink, off_sheet, polar_point,
                             rotation, signed_dist, to_sheet, translation_x,
                             unit_spacelike, unit_timelike)
+from polygon_families import apply_isometry, random_isometry
 from test_acceptance_oracles import mp_angle_from_sides, mp_dist
 
 ORIGIN = HPoint(0.0, 0.0, 1.0)

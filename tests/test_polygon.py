@@ -5,17 +5,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hypwidth.corpus import nested_pair, random_convex_polygon, random_nonequilateral_triangle
 from hypwidth.errors import GeometryError, NonConvex, TooFewVertices
 from hypwidth.extremal import indisk
 from hypwidth.hcore import (HPoint, angle_at, chart_to_hyperboloid, dist_pp,
                             hyperboloid_to_chart, mink, signed_dist, to_sheet)
 from hypwidth.polygon import (area, contains, make_polygon, perimeter,
                               polygon_from_rows, side_line)
-from hypwidth.reduced import check_ordinary_reduced, regular_apothem, regular_ngon
+from hypwidth.reduced import (check_ordinary_reduced, regular_apothem, regular_ngon,
+                              regular_ngon_with_thickness)
 from hypwidth.width import thickness
-from polygon_families import hard_families
-from test_acceptance_oracles import (angle_defect_area, regular_angle, unscaled_side_normals,
+from polygon_families import (hard_families, nested_pair, random_convex_polygon,
+                              random_nonequilateral_triangle, regular_thicknesses)
+from test_acceptance_oracles import (mp_area, regular_angle, unscaled_side_normals,
                                      unscaled_to_sheet)
 
 
@@ -167,7 +168,10 @@ class TestUnscaledReference:
             u = np.roll(V.side_normals, -1, axis=0)
             for w in (m * 3.7, m * -0.01, m - mink(m, u)[:, None] * u):
                 assert to_sheet(w).tobytes() == unscaled_to_sheet(w).tobytes()
-            assert area(V) == angle_defect_area(V)
+            # The angle defect itself is inexact here (5.3e-8 off on the
+            # regular 1001-gon of thickness 0.01), so the area has a
+            # 50-digit reference instead of a bit-for-bit one.
+            assert area(V) == pytest.approx(mp_area(V), rel=1e-12, abs=0.0)
 
 
 class TestRegularAngles:
@@ -261,6 +265,15 @@ class TestArea:
             (k[1, 0] - k[0, 0]) * (k[2, 1] - k[0, 1])
             - (k[2, 0] - k[0, 0]) * (k[1, 1] - k[0, 1])))
         assert area(V) == pytest.approx(euclid, rel=1e-4)
+
+    @pytest.mark.parametrize("n", [3, 5, 31])
+    def test_regular_polygons_at_every_size(self, n):
+        # The angle defect loses about eps * pi / area (5.9e-5 relative on the
+        # regular triangle of thickness 1e-6); the fan of triangles keeps
+        # relative accuracy from the smallest polygon the constructor builds.
+        for delta in regular_thicknesses(n):
+            V = regular_ngon_with_thickness(n, delta)
+            assert area(V) == pytest.approx(mp_area(V), rel=1e-13, abs=0.0)
 
     def test_positive_angle_defect(self, rng):
         for _ in range(50):

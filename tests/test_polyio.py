@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from hypwidth.corpus import jittered_circle_polygon, random_convex_polygon
 from hypwidth.errors import GeometryError, NonConvex, SchemaError
 from hypwidth.extremal import ScanRow
 from hypwidth.hcore import HPoint, chart_to_hyperboloid
@@ -13,6 +12,7 @@ from hypwidth.polyio import (MODELS, SCAN_CSV_HEADER, emit_polygon, parse_polygo
                              parse_polygon_file, polygon_from_file,
                              scan_rows_to_csv)
 from hypwidth.reduced import regular_ngon
+from polygon_families import jittered_circle_polygon, random_convex_polygon
 
 
 class TestParse:

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from hypwidth import polygon, reduced
-from hypwidth.corpus import (jittered_circle_polygon, perturbed_polygon,
-                             random_nonequilateral_triangle)
+from hypwidth.corpus import perturbed_polygon
 from hypwidth.errors import (BracketFailure, EvenGon, GeometryError,
                              LeftFamily, NoConvergence, NotOrdinaryReduced,
                              NumericalError)
-from hypwidth.hcore import HPoint, apply_isometry, dist_pp, random_isometry
+from hypwidth.hcore import HPoint, dist_pp
 from hypwidth.polygon import (make_polygon, perimeter, polygon_from_rows, side_lengths,
                               side_line)
 from hypwidth.reduced import (_frame, _jacobian, _min_norm_step, _residuals,
@@ -23,7 +22,9 @@ from hypwidth.reduced import (_frame, _jacobian, _min_norm_step, _residuals,
                               regular_ngon_with_thickness,
                               solve_ordinary_reduced)
 from hypwidth.width import ThicknessReport, diameter, thickness
-from polygon_families import SMALLEST_REGULAR_EXPONENT, regular_thicknesses
+from polygon_families import (SMALLEST_REGULAR_EXPONENT, apply_isometry,
+                              jittered_circle_polygon, random_isometry,
+                              random_nonequilateral_triangle, regular_thicknesses)
 from test_acceptance_oracles import (oracle_check_ordinary_reduced, oracle_perimeter_halving,
                                      unscaled_jacobian, unscaled_residuals)
 

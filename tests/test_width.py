@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from hypwidth import width
-from hypwidth.corpus import jittered_circle_polygon, nested_pair, random_convex_polygon
 from hypwidth.errors import NotSupporting
 from hypwidth.extremal import rhombus
-from hypwidth.hcore import HLine, HPoint, apply_isometry, random_isometry, signed_dist
+from hypwidth.hcore import HLine, HPoint, signed_dist
 from hypwidth.polygon import make_polygon, polygon_from_rows, side_line
 from hypwidth.reduced import regular_apothem, regular_ngon, regular_ngon_with_thickness
 from hypwidth.width import (SUPPORT_TOL, diameter, diameter_via_width, pencil_line,
                             thickness, width_line, width_ultraparallel_oracle)
-from polygon_families import hard_families, regular_thicknesses, squashed_hull
+from polygon_families import (apply_isometry, hard_families, jittered_circle_polygon,
+                              nested_pair, random_convex_polygon, random_isometry,
+                              regular_thicknesses, squashed_hull)
 from test_acceptance_oracles import (brute_thickness, dense_thickness, envelope_tops,
                                      full_width_diameter_via_width, full_width_thickness,
                                      full_width_tops, oracle_diameter, slerp_pencil_line)
