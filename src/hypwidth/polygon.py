@@ -266,14 +266,15 @@ def perimeter(V: ConvexPolygon) -> float:
 
 
 def area(V: ConvexPolygon) -> float:
-    """Sum of the fan triangles from vertex 0, each by L'Huilier's formula
-    tan(A/4) = sqrt(tanh(s/2) tanh((s-a)/2) tanh((s-b)/2) tanh((s-c)/2)), whose
-    terms are bounded; the 3(n-2) sides come from one stacked dist_pp call, and
+    """Sum of the fan triangles (c, v_i, v_i+1) around c = to_sheet(sum of the
+    rows), inside and label-free, each by L'Huilier's formula tan(A/4) =
+    sqrt(tanh(s/2) tanh((s-a)/2) tanh((s-b)/2) tanh((s-c)/2)), whose terms are
+    bounded; the n spokes and n sides come from one stacked dist_pp call, and
     the half-differences from sorted sides as in ``angle_from_sides``."""
     m = V.vertex_matrix
-    fan = np.broadcast_to(m[0], m[2:].shape)
-    sides = dist_pp(np.stack((fan, m[1:-1], fan)), np.stack((m[1:-1], m[2:], m[2:])))
-    c, b, a = np.sort(sides, axis=0)
+    c = np.broadcast_to(to_sheet(m.sum(axis=0)), m.shape)
+    spokes, sides = dist_pp(np.stack((c, m)), np.stack((m, np.concatenate((m[1:], m[:1])))))
+    c, b, a = np.sort((spokes, sides, np.concatenate((spokes[1:], spokes[:1]))), axis=0)
     h = np.maximum((c - (a - b), c + (a - b), a + (b - c)), 0.0)
     t = np.tanh(0.25 * (a + (b + c))) * np.tanh(0.25 * h).prod(axis=0)
     return 4.0 * sum(np.arctan(np.sqrt(t)).tolist())

@@ -9,7 +9,7 @@ members of the family with a damped Gauss-Newton iteration on the (x, y)
 hyperboloid coordinates of the vertices with an exact Jacobian, and
 evaluates the boundary-halving and diameter-bound properties the family
 satisfies.  Each solver step is the minimum-norm solution of the linearised
-system, from a QR factorisation of the transposed Jacobian.  The line
+distance equations in the 2n - 3 coordinates the gauge leaves free.  The line
 search's trial points and the convergence test evaluate the residuals alone;
 the Jacobian is built once per step, from the values the residuals computed
 at the accepted point.  The check, the solver's final verdict and the
@@ -203,27 +203,22 @@ class _Frame(NamedTuple):
 
     idx stacks the vertex indices over the two ``opposite_side`` index arrays;
     pos holds the flat positions in J of the (x, y) derivatives of residual i
-    in the vertices idx[:, i]; J0 is J with its constant gauge rows filled in.
-    The three gauge equations keep vertex 0 at gauge_anchor and the first edge
-    parallel to gauge_dir in (x, y).
+    in the vertices idx[:, i].  gauge_dir is the seed's unit first-edge
+    direction in (x, y): each step keeps vertex 0 fixed and moves vertex 1
+    only along it, which removes the isometry group.
     """
 
     idx: np.ndarray
     pos: np.ndarray
-    J0: np.ndarray
-    gauge_anchor: np.ndarray
     gauge_dir: np.ndarray
 
 
-def _frame(n: int, gauge_anchor: np.ndarray, gauge_dir: np.ndarray) -> _Frame:
+def _frame(n: int, gauge_dir: np.ndarray) -> _Frame:
     """The ``_Frame`` of a solve for an n-gon; an even n raises EvenGon."""
     rows = np.arange(n)
     idx = np.stack([rows, *opposite_side(rows, n)])
     pos = (2 * n * rows + 2 * idx)[..., None] + np.arange(2)
-    J0 = np.zeros((n + 3, 2 * n))
-    J0[n, 0] = J0[n + 1, 1] = 1.0
-    J0[n + 2, :4] = [-gauge_dir[1], gauge_dir[0], gauge_dir[1], -gauge_dir[0]]
-    return _Frame(idx, pos, J0, gauge_anchor, gauge_dir)
+    return _Frame(idx, pos, gauge_dir)
 
 
 def _residuals(x: np.ndarray, delta: float, frame: _Frame):
@@ -231,24 +226,16 @@ def _residuals(x: np.ndarray, delta: float, frame: _Frame):
 
     x holds the (x, y) hyperboloid coordinates of the vertices.  Residual i
     is the distance from v_i to the line through the ends of its opposite
-    side minus delta; the three gauge residuals of ``_Frame`` follow.  The
-    second result holds the lifted vertices v, B(v_i, u_i) with u_i the unit
-    normal of the side opposite v_i, and what ``line_normals`` returns: the
-    normals u_i, their scales N, and the scaled ends of each side with their
-    exponents k.  asinh(B(v_i, u_i)) is the signed distance from v_i to that
-    side's line.
+    side minus delta.  The second result holds the lifted vertices v,
+    B(v_i, u_i) with u_i the unit normal of the side opposite v_i, and what
+    ``line_normals`` returns: the normals u_i, their scales N, and the scaled
+    ends of each side with their exponents k.  asinh(B(v_i, u_i)) is the
+    signed distance from v_i to that side's line.
     """
     v = _lift(x)
     u, N, ends, k = line_normals(*v[frame.idx[1:]])
     f = mink(v, u)
-    n = f.shape[0]
-    e = v[1, :2] - v[0, :2]
-    g = frame.gauge_dir
-    r = np.empty(n + 3)
-    r[:n] = np.abs(np.arcsinh(f)) - delta
-    r[n:n + 2] = v[0, :2] - frame.gauge_anchor
-    r[n + 2] = e[0] * g[1] - e[1] * g[0]
-    return r, (v, f, u, N, ends, k)
+    return np.abs(np.arcsinh(f)) - delta, (v, f, u, N, ends, k)
 
 
 def _jacobian(lifted, frame: _Frame) -> np.ndarray:
@@ -272,7 +259,7 @@ def _jacobian(lifted, frame: _Frame) -> np.ndarray:
     g = np.concatenate([u[None], ab]) * MINK_DIAG
     # d|asinh f| / df = sign(f) / sqrt(1 + f*f), by hypot so f*f never overflows.
     scale = (np.sign(f) / np.hypot(1.0, f))[:, None]
-    J = frame.J0.copy()
+    J = np.zeros((len(v), 2 * len(v)))
     J.reshape(-1)[frame.pos] = scale * (g[..., :2] + g[..., 2:] * p[..., :2] / p[..., 2:])
     return J
 
@@ -286,11 +273,11 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
     the n vertices, with t = sqrt(1 + x^2 + y^2).  These cover the whole
     plane, so no iterate can leave the chart.  The residuals are the
     per-vertex distances to the opposite side line minus delta, with their
-    exact Jacobian (``_jacobian``).  Three gauge equations pin vertex 0 and
-    the direction of the first edge to the seed's frame, which removes the
-    isometry group; a seed already in the family is returned unchanged up to
-    the rounding of t, after max_iterations = 0 too.  Each step is the
-    minimum-norm solution of the linearised system (``_min_norm_step``),
+    exact Jacobian (``_jacobian``).  Vertex 0 stays put and vertex 1 moves only
+    along the seed's first edge, which removes the isometry group; a seed
+    already in the family is returned unchanged up to the rounding of t,
+    after max_iterations = 0 too.  Each step is the minimum-norm solution of
+    the system linearised in the 2n - 3 free coordinates (``_min_norm_step``),
     damped by backtracking halving until the residual norm decreases.  Trial
     points and the convergence test evaluate the residuals alone; J is built
     once per step, at the point the step starts from.  Raises GeometryError
@@ -306,20 +293,22 @@ def solve_ordinary_reduced(seed: ConvexPolygon, delta: float, *,
 
     x = seed.vertex_matrix[:, :2].reshape(-1).copy()
     d0 = x[2:4] - x[:2]
-    frame = _frame(seed.n, x[:2].copy(), d0 / np.hypot(d0[0], d0[1]))
+    frame = _frame(seed.n, d0 / np.hypot(d0[0], d0[1]))
     r, lifted = _residuals(x, delta, frame)
 
     for _ in range(max_iterations):
         if float(np.abs(r).max()) <= residual_tol:
             break
-        step = _min_norm_step(_jacobian(lifted, frame), r)
+        J = _jacobian(lifted, frame)
+        s = _min_norm_step(np.column_stack((J[:, 2:4] @ frame.gauge_dir, J[:, 4:])), r)
+        step = np.concatenate(([0.0, 0.0], s[0] * frame.gauge_dir, s[1:]))
         base = float(np.dot(r, r))
         alpha = 1.0
         while alpha >= 2.0 ** -30:
             xt = x + alpha * step
-            # A trial whose side normals are not spacelike gives NaN residuals,
-            # which fail the test below, so the step halves.
-            with np.errstate(invalid="ignore", divide="ignore"):
+            # Non-spacelike side normals or overflowing squares give NaN
+            # residuals, which fail the test below, so the step halves.
+            with np.errstate(all="ignore"):
                 rt, lt = _residuals(xt, delta, frame)
             if float(np.dot(rt, rt)) < base:
                 x, r, lifted = xt, rt, lt

@@ -94,14 +94,7 @@ def unscaled_residuals(x: np.ndarray, delta: float, frame):
     v = _lift(x)
     u, N = unscaled_line_normals(*v[frame.idx[1:]])
     f = mink(v, u)
-    n = f.shape[0]
-    e = v[1, :2] - v[0, :2]
-    g = frame.gauge_dir
-    r = np.empty(n + 3)
-    r[:n] = np.abs(np.arcsinh(f)) - delta
-    r[n:n + 2] = v[0, :2] - frame.gauge_anchor
-    r[n + 2] = e[0] * g[1] - e[1] * g[0]
-    return r, (v, f, u, N)
+    return np.abs(np.arcsinh(f)) - delta, (v, f, u, N)
 
 
 def unscaled_jacobian(lifted, frame) -> np.ndarray:
@@ -113,7 +106,7 @@ def unscaled_jacobian(lifted, frame) -> np.ndarray:
     c = (f * mink(p[1], p[2]))[:, None] / N ** 2
     g = np.concatenate([u[None], lorentz_cross(p[::-2], p[:2]) / N - c * p[:0:-1]]) * _J
     scale = (np.sign(f) / np.hypot(1.0, f))[:, None]
-    J = frame.J0.copy()
+    J = np.zeros((len(v), 2 * len(v)))
     J.reshape(-1)[frame.pos] = scale * (g[..., :2] + g[..., 2:] * p[..., :2] / p[..., 2:])
     return J
 
@@ -354,6 +347,38 @@ def mp_circumradius(V: ConvexPolygon) -> float:
                 c = w / mpmath.sqrt(_mp_cosh(w, w))
                 best = min(best, max(mpmath.acosh(_mp_cosh(c, p)) for p in pts))
         return float(best)
+
+
+def mp_reducedness(V: ConvexPolygon) -> tuple[list[float], list[float]]:
+    """Distance from each vertex to its opposite side line, and the Klein-chart
+    barycentric margin of its foot inside that side, at 50 digits on the (x, y)
+    reading of the rows.
+
+    The line through a and b has the normal w = (a x b) J, so the distance is
+    asinh(|B(v, w)| / sqrt(B(w, w))) and the foot is v - B(v, w) w / B(w, w).
+    """
+    import mpmath
+
+    def mink_mp(p, q):
+        return p[0] * q[0] + p[1] * q[1] - p[2] * q[2]
+
+    n = V.n
+    dists, margins = [], []
+    with mpmath.workdps(50):
+        pts = _mp_points(V)
+        for i, v in enumerate(pts):
+            a, b = pts[(i + (n - 1) // 2) % n], pts[(i + (n + 1) // 2) % n]
+            w = mpmath.matrix([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                               -(a[0] * b[1] - a[1] * b[0])])
+            ww, vw = mink_mp(w, w), mink_mp(v, w)
+            dists.append(float(mpmath.asinh(abs(vw) / mpmath.sqrt(ww))))
+            p = v - w * (vw / ww)
+            ka, kb, kp = ([q[0] / q[2], q[1] / q[2]] for q in (a, b, p))
+            edge = [kb[0] - ka[0], kb[1] - ka[1]]
+            lam = (((kp[0] - ka[0]) * edge[0] + (kp[1] - ka[1]) * edge[1])
+                   / (edge[0] ** 2 + edge[1] ** 2))
+            margins.append(float(min(lam, 1 - lam)))
+    return dists, margins
 
 
 def oracle_diameter(V: ConvexPolygon) -> tuple[float, tuple[int, int]]:

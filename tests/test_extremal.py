@@ -15,8 +15,8 @@ from hypwidth.reduced import (check_ordinary_reduced, regular_apothem, regular_n
 from hypwidth.width import diameter, thickness
 from polygon_families import (apply_isometry, hard_families, jittered_circle_polygon,
                               random_convex_polygon, random_isometry, regular_thicknesses)
-from test_acceptance_oracles import (all_sides_indisk, mp_circumradius, oracle_circumdisk,
-                                     oracle_indisk)
+from test_acceptance_oracles import (all_sides_indisk, mp_circumradius, mp_reducedness,
+                                     oracle_circumdisk, oracle_indisk)
 
 
 @pytest.fixture(scope="module")
@@ -266,13 +266,28 @@ class TestRatioScan:
             assert r.inradius <= r.delta + 1e-9 <= r.diameter + 1e-9
             assert r.delta == pytest.approx(1.0, abs=1e-9)
 
-    def test_far_grid_runs_clean(self):
+    def test_far_grid_runs_clean(self, monkeypatch):
         # Regular cells out to the domain edge, and seeds whose jitter crosses it.
+        import hypwidth.extremal as ex
+
+        solve, solved = ex.solve_ordinary_reduced, []
+
+        def recorded(seed, delta):
+            solved.append((solve(seed, delta), delta))
+            return solved[-1][0]
+        monkeypatch.setattr(ex, "solve_ordinary_reduced", recorded)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = ratio_scan([3, 5, 7, 31], [60, 100, 200, 300, 350], perturbations=2)
         regular = [r for r in rows if r.polygon_id.startswith("regular")]
         assert len(regular) == 20
+        assert len(rows) - len(regular) == len(solved) >= 12
+        # Every solved row meets the criterion at 50 digits.
+        for S, delta in solved:
+            dists, margins = mp_reducedness(S)
+            assert max(dists) - min(dists) <= 1e-9
+            assert max(abs(d - delta) for d in dists) <= 1e-9
+            assert min(margins) > 0.0
         for r in rows:
             assert 1.0 < r.ratio < 2.0
             assert math.isfinite(r.area) and r.area > 0.0

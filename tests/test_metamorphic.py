@@ -34,7 +34,8 @@ QUERIES = {
 # Odd regular polygons, for the reducedness verdict.
 ODD_REGULAR = polygon_cases(families=("regular",), ns=st.integers(1, 31).map(lambda k: 2 * k + 1))
 
-# Cases where a relation fails (ROADMAP item 12).
+# Cases where a relation fails (ROADMAP item 12); AREA_FAN is a thin polygon
+# on which a fan from a labelled vertex depends on the labels.
 AREA_FAN = ("squashed", 19, 2.8773202137449583, 2.7771437316432563, 2868563154)
 INDISK_TRIPLE = ("regular", 55, 2.2785247701321705, 2.9195129934835, 9221477)
 MOVED_VERDICT = ("regular", 55, 2.4434679443477236, 2.8616940640809627, 2895998518)
@@ -54,8 +55,6 @@ def moved(V, seed):
 
 # Queries whose relabelling relation fails, and why (ROADMAP item 12).
 RELABEL_FAULTS = {
-    "area": "the fan from vertex 0 changes with the labels, and L'Huilier's thin "
-            "triangles amplify the rounding of the rows: 2.4e-11 apart on AREA_FAN",
     "inradius": "the sweep's best triple changes with the labels: 1.4e-11 apart on "
                 "INDISK_TRIPLE reflected",
 }

@@ -25,8 +25,9 @@ from hypwidth.width import ThicknessReport, diameter, thickness
 from polygon_families import (SMALLEST_REGULAR_EXPONENT, apply_isometry,
                               jittered_circle_polygon, random_isometry,
                               random_nonequilateral_triangle, regular_thicknesses)
-from test_acceptance_oracles import (oracle_check_ordinary_reduced, oracle_perimeter_halving,
-                                     unscaled_jacobian, unscaled_residuals)
+from test_acceptance_oracles import (mp_reducedness, oracle_check_ordinary_reduced,
+                                     oracle_perimeter_halving, unscaled_jacobian,
+                                     unscaled_residuals)
 
 
 # check_ordinary_reduced(...).records of two triangles, as the per-vertex
@@ -366,7 +367,7 @@ class TestSolve:
         cases += [(jittered_circle_polygon(rng, n, 1.0, 2.0), 1.0) for n in (3, 5, 15, 31)]
         for V, delta in cases:
             x = V.vertex_matrix[:, :2].reshape(-1).copy()
-            frame = _frame(V.n, x[:2] + 0.01, np.array([0.6, 0.8]))
+            frame = _frame(V.n, np.array([0.6, 0.8]))
             J = _jacobian(_residuals(x, delta, frame)[1], frame)
             # Steps scale with the polygon, so truncation stays below rounding.
             h = 1e-6 * min(1.0, delta)
@@ -387,7 +388,7 @@ class TestSolve:
                 for _ in range(10):
                     x = perturbed_polygon(reg, rng).vertex_matrix[:, :2].reshape(-1).copy()
                     d0 = x[2:4] - x[:2]
-                    frame = _frame(n, x[:2].copy(), d0 / np.hypot(d0[0], d0[1]))
+                    frame = _frame(n, d0 / np.hypot(d0[0], d0[1]))
                     r, lifted = _residuals(x, delta, frame)
                     ref, ref_lifted = unscaled_residuals(x, delta, frame)
                     assert r.tobytes() == ref.tobytes()
@@ -425,7 +426,7 @@ class TestSolve:
             for delta in (0.01, 1.0, 6.0):
                 V = perturbed_polygon(regular_ngon_with_thickness(n, delta), rng)
                 x = V.vertex_matrix[:, :2].reshape(-1).copy()
-                frame = _frame(n, x[:2] + 0.01, np.array([0.6, 0.8]))
+                frame = _frame(n, np.array([0.6, 0.8]))
                 r, lifted = _residuals(x, delta, frame)
                 J = _jacobian(lifted, frame)
                 step = _min_norm_step(J, r)
@@ -435,15 +436,19 @@ class TestSolve:
                 assert np.max(np.abs(J @ step + r)) <= 1e-10 * max(1.0, scale), (n, delta)
 
     def test_rank_deficient_jacobian_raises(self):
-        # A zero gauge direction zeroes the last row of J.
+        # A zero row in the Jacobian restricted to the gauge's free coordinates.
         V = perturbed_polygon(regular_ngon_with_thickness(5, 1.0), np.random.default_rng(0))
         x = V.vertex_matrix[:, :2].reshape(-1).copy()
-        frame = _frame(V.n, x[:2], np.zeros(2))
+        d0 = x[2:4] - x[:2]
+        frame = _frame(V.n, d0 / np.hypot(d0[0], d0[1]))
         r, lifted = _residuals(x, 1.0, frame)
         J = _jacobian(lifted, frame)
-        assert not J[-1].any()
-        with pytest.raises(NoConvergence):
-            _min_norm_step(J, r)
+        A = np.column_stack((J[:, 2:4] @ frame.gauge_dir, J[:, 4:]))
+        assert A.shape == (5, 7)
+        _min_norm_step(A, r)
+        A[2] = 0.0
+        with pytest.raises(NoConvergence, match="rank deficient"):
+            _min_norm_step(A, r)
 
     @staticmethod
     def _count_evaluations(monkeypatch):
@@ -555,15 +560,27 @@ class TestSolve:
         with pytest.raises(NoConvergence, match="after 0 iterations"):
             solve_ordinary_reduced(seed, 1.0, max_iterations=0)
 
-    @pytest.mark.parametrize("n,delta", [(5, 1.0), (7, 0.5), (5, 6.0)])
-    def test_line_search_stall_raises(self, n, delta):
+    @pytest.mark.parametrize("n,delta,stalls", [
+        pytest.param(5, 1.0, True, id="5-1.0"), pytest.param(7, 0.5, True, id="7-0.5"),
+        pytest.param(5, 6.0, False, id="5-6.0")])
+    def test_line_search_stall_raises(self, n, delta, stalls):
         # A zero residual tolerance asks for more than rounding allows, even
         # from a seed already in the family: no step lowers the residual.
-        with pytest.raises(NoConvergence) as exc:
-            solve_ordinary_reduced(regular_ngon_with_thickness(n, delta), delta,
-                                   residual_tol=0.0)
-        assert type(exc.value) is NoConvergence
-        assert str(exc.value) == "backtracking line search stalled"
+        # At (5, 6) steps within the gauge instead drive every residual to
+        # exactly 0.0, moving the regular pentagon only at rounding level.
+        V = regular_ngon_with_thickness(n, delta)
+        if stalls:
+            with pytest.raises(NoConvergence) as exc:
+                solve_ordinary_reduced(V, delta, residual_tol=0.0)
+            assert type(exc.value) is NoConvergence
+            assert str(exc.value) == "backtracking line search stalled"
+            return
+        S = solve_ordinary_reduced(V, delta, residual_tol=0.0)
+        x = S.vertex_matrix[:, :2].reshape(-1).copy()
+        d0 = x[2:4] - x[:2]
+        r, _ = _residuals(x, delta, _frame(n, d0 / np.hypot(d0[0], d0[1])))
+        assert not r.any()
+        assert np.abs(S.vertex_matrix - V.vertex_matrix).max() <= 1e-14
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_delta_rejected(self, delta):
@@ -598,6 +615,27 @@ class TestSolve:
         assert max(abs(r.half_perimeter_gap) for r in perimeter_halving(S).records) <= 1e-8
         assert diameter_within_bound(S)
 
+
+    @pytest.mark.parametrize("n, floor", [(5, 10), (7, 6)])
+    def test_far_perturbed_seeds_solve(self, n, floor):
+        # At delta = 40 the distance rows' slopes are about 1/sinh(40); with
+        # the gauge eliminated, the rank test compares them only with each
+        # other, so no Jacobian is rank deficient.  Every solution must meet
+        # the criterion at 50 digits.
+        reg = regular_ngon_with_thickness(n, 40.0)
+        rng = np.random.default_rng(n)
+        solved = []
+        for _ in range(10):
+            try:
+                solved.append(solve_ordinary_reduced(perturbed_polygon(reg, rng), 40.0))
+            except NumericalError as exc:
+                assert "rank deficient" not in str(exc)
+        assert len(solved) >= floor
+        for S in solved:
+            dists, margins = mp_reducedness(S)
+            assert max(dists) - min(dists) <= 1e-9
+            assert max(abs(d - 40.0) for d in dists) <= 1e-9
+            assert min(margins) > 0.0
 
     def test_outcome_grid_floor(self):
         # Solved draws per (n, delta) cell out of 10 perturbed_polygon draws from
